@@ -38,18 +38,16 @@ from .convexity import (
     is_convex_sampled,
     jensen_check,
 )
-from .fileio import (
-    InstanceSyntaxError,
-    SchemaError,
-    emit_instance,
-    parse_instance,
-)
+from .fileio import emit_instance, parse_instance
 from .lab import SUITE_NAMES, run_suite
 
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise PfmsError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load(path: str) -> PictureFuzzyMultiset:
@@ -71,25 +69,11 @@ def _intervals(region) -> list[list[float]]:
     return [[a, b] for a, b in region.intervals]
 
 
-def _witness_payload(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        "x": witness.x,
-        "y": witness.y,
-        "lambda": witness.lam,
-        "level": witness.level,
-        "channel": witness.channel,
-        "lhs": witness.lhs,
-        "rhs": witness.rhs,
-    }
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     text = _read_text(args.file)
     try:
         ms = parse_instance(text)
-    except (InstanceSyntaxError, SchemaError, PfmsError) as exc:
+    except PfmsError as exc:
         _emit({"valid": False, "error": str(exc)})
         return 1
     _emit(
@@ -120,7 +104,7 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "levels": list(report.levels),
             "vacuous": report.vacuous,
-            "witness": _witness_payload(report.witness),
+            "witness": report.witness and report.witness.to_dict(),
         }
     )
     return 0 if report.convex else 1
@@ -272,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InstanceSyntaxError, SchemaError, PfmsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PfmsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

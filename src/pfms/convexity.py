@@ -55,6 +55,18 @@ class Witness:
     lhs: float
     rhs: float
 
+    def to_dict(self) -> dict:
+        """JSON form as reports print it, keys in field order."""
+        return {
+            "x": self.x,
+            "y": self.y,
+            "lambda": self.lam,
+            "level": self.level,
+            "channel": self.channel,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+        }
+
 
 @dataclass(frozen=True, slots=True)
 class ConvexityReport:
@@ -68,21 +80,6 @@ class ConvexityReport:
     levels: tuple[bool, ...]
     witness: Witness | None = None
     vacuous: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class CutWitness:
-    """Thresholds and level whose cut fell apart into several intervals."""
-
-    thresholds: CutThresholds
-    level: int
-    region: CutRegion
-
-
-@dataclass(frozen=True, slots=True)
-class CutConvexityReport:
-    convex: bool
-    witness: CutWitness | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +111,19 @@ class GradeField:
     grid: DomainGrid
     values: tuple[tuple[tuple[float, float, float], ...], ...]
     valid: tuple[tuple[bool, ...], ...]
+
+    @classmethod
+    def from_envelopes(
+        cls,
+        grid: DomainGrid,
+        per_level: Sequence[Sequence[Sequence[float]]],
+    ) -> "GradeField":
+        """Assemble a field from per-level (positive, neutral, negative)
+        node sequences, flagging every triple against the sum bound."""
+        levels = [list(zip(pos, neu, neg)) for pos, neu, neg in per_level]
+        flags = [[sum(t) <= 1.0 + TOL_SUM for t in triples] for triples in levels]
+        # zip(*...) turns level-major lists into node-major tuples
+        return cls(grid=grid, values=tuple(zip(*levels)), valid=tuple(zip(*flags)))
 
     @property
     def depth(self) -> int:
@@ -385,41 +395,21 @@ def cut(
     return region
 
 
-def cuts_all_convex(ms: PictureFuzzyMultiset) -> CutConvexityReport:
-    """Whether every threshold cut, at every level, is a single interval.
-
-    Piecewise-linear channels only change the shape of a cut at node
-    values, so scanning the node values (plus 0 and 1) per channel covers
-    all thresholds.  Full threshold triples reduce to one active channel:
-    intervals are closed under intersection, so some triple yields a
-    disconnected cut exactly when some single channel does, and the
-    reported witness fixes the other two thresholds at their slack values
-    (0 for the lower bounds, 1 for the upper one)."""
-    xs = ms.grid.points
-    for level in range(1, ms.depth + 1):
-        scans = (
-            ("positive", _upper_region, lambda v: CutThresholds(v, 0.0, 1.0)),
-            ("neutral", _upper_region, lambda v: CutThresholds(0.0, v, 1.0)),
-            ("negative", _lower_region, lambda v: CutThresholds(0.0, 0.0, v)),
-        )
-        for channel, solver, to_thresholds in scans:
-            nodes = ms.channel_nodes(channel, level)
-            for value in sorted(set(nodes) | {0.0, 1.0}):
-                region = CutRegion(tuple(solver(xs, nodes, value)))
-                if not region.is_convex:
-                    return CutConvexityReport(
-                        convex=False,
-                        witness=CutWitness(
-                            thresholds=to_thresholds(value),
-                            level=level,
-                            region=region,
-                        ),
-                    )
-    return CutConvexityReport(convex=True)
-
-
 # ---------------------------------------------------------------------------
 # multi-point inequality
+
+
+def _grades_at(
+    ms: PictureFuzzyMultiset,
+    points: Sequence[float],
+    weights: WeightVector | Sequence[float],
+    level: int,
+) -> tuple[WeightVector, list[GradeTriple]]:
+    """Validated weights and the grades at ``points``, one per weight."""
+    w = WeightVector.of(weights)
+    if len(points) != len(w):
+        raise LengthMismatch(f"{len(points)} points but {len(w)} weights")
+    return w, [ms.evaluate(x, level) for x in points]
 
 
 def jensen_check(
@@ -434,10 +424,7 @@ def jensen_check(
     and neutral endpoint grades and stay within the largest negative one.
     Slacks are returned per channel; all slacks >= -TOL_CMP counts as a
     pass."""
-    w = WeightVector.of(weights)
-    if len(points) != len(w):
-        raise LengthMismatch(f"{len(points)} points but {len(w)} weights")
-    grades = [ms.evaluate(x, level) for x in points]
+    w, grades = _grades_at(ms, points, weights, level)
     z = math.fsum(wi * xi for wi, xi in zip(w, points))
     gz = ms.evaluate(z, level)
     pos_floor = min(g.positive for g in grades)
@@ -487,28 +474,17 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
     flagged invalid rather than repaired."""
-    m = ms.size
-    per_level: list[tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]] = []
-    for level in range(1, ms.depth + 1):
-        per_level.append(
+    return GradeField.from_envelopes(
+        ms.grid,
+        [
             (
                 unimodal_majorant(ms.channel_nodes("positive", level)),
                 unimodal_majorant(ms.channel_nodes("neutral", level)),
                 antiunimodal_minorant(ms.channel_nodes("negative", level)),
             )
-        )
-    values = []
-    flags = []
-    for i in range(m):
-        point_values = []
-        point_flags = []
-        for pos, neu, neg in per_level:
-            triple = (pos[i], neu[i], neg[i])
-            point_values.append(triple)
-            point_flags.append(sum(triple) <= 1.0 + TOL_SUM)
-        values.append(tuple(point_values))
-        flags.append(tuple(point_flags))
-    return GradeField(grid=ms.grid, values=tuple(values), valid=tuple(flags))
+            for level in range(1, ms.depth + 1)
+        ],
+    )
 
 
 def hull_membership_test(
@@ -522,10 +498,7 @@ def hull_membership_test(
     Returns the weighted channel-wise blend of the evaluated grades; the
     caller compares it against the hull field at the weighted coordinate.
     """
-    w = WeightVector.of(weights)
-    if len(points) != len(w):
-        raise LengthMismatch(f"{len(points)} points but {len(w)} weights")
-    grades = [ms.evaluate(x, level) for x in points]
+    w, grades = _grades_at(ms, points, weights, level)
     return GradeTriple(
         math.fsum(wi * g.positive for wi, g in zip(w, grades)),
         math.fsum(wi * g.neutral for wi, g in zip(w, grades)),

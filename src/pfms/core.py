@@ -64,7 +64,7 @@ class BadLevel(PfmsError):
 
 
 class MalformedRegion(PfmsError):
-    """An interval was given with its endpoints reversed."""
+    """An interval was given with its endpoints reversed or not finite."""
 
 
 def check_unit(value: float, label: str = "value") -> float:
@@ -158,16 +158,6 @@ class GradeSequence:
 
     def __getitem__(self, k: int) -> GradeTriple:
         return self.levels[k]
-
-
-def sort_levels(seq: GradeSequence) -> GradeSequence:
-    """Reorder levels by positive descending, then neutral descending,
-    then negative ascending.  Used to restore the level invariant after
-    operations that permute channel roles."""
-    ordered = sorted(
-        seq.levels, key=lambda t: (-t.positive, -t.neutral, t.negative)
-    )
-    return GradeSequence(tuple(ordered))
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,21 +281,6 @@ class PictureFuzzyMultiset:
         )
 
 
-def make_triple(positive: float, neutral: float, negative: float) -> GradeTriple:
-    """Validating triple constructor; rejects rather than repairs."""
-    return GradeTriple(positive, neutral, negative)
-
-
-def make_pfms(
-    grid: DomainGrid | Sequence[float],
-    grades: Sequence[GradeSequence],
-) -> PictureFuzzyMultiset:
-    """Assemble a multiset from a grid and per-point grade sequences."""
-    if not isinstance(grid, DomainGrid):
-        grid = DomainGrid(tuple(grid))
-    return PictureFuzzyMultiset(grid, tuple(grades))
-
-
 def multiset_from_values(
     points: Sequence[float],
     values: Sequence[Sequence[Sequence[float]]],
@@ -316,24 +291,13 @@ def multiset_from_values(
         GradeSequence(tuple(GradeTriple(*level) for level in per_point))
         for per_point in values
     )
-    return make_pfms(points, grades)
+    return PictureFuzzyMultiset(DomainGrid(tuple(points)), grades)
 
 
-def pad(
-    ms: PictureFuzzyMultiset,
-    depth: int,
-    fill: GradeTriple = GradeTriple(0.0, 0.0, 0.0),
-) -> PictureFuzzyMultiset:
-    """Extend every point to ``depth`` levels by appending ``fill``."""
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < ms.depth:
-        raise BadLevel(
-            f"target depth {depth!r} must be an integer >= current depth {ms.depth}"
-        )
-    if depth == ms.depth:
-        return ms
-    extra = (fill,) * (depth - ms.depth)
-    grades = tuple(GradeSequence(seq.levels + extra) for seq in ms.grades)
-    return PictureFuzzyMultiset(ms.grid, grades)
+def values_from_multiset(ms: PictureFuzzyMultiset) -> list[list[list[float]]]:
+    """Fresh nested lists values[point][level] = [positive, neutral,
+    negative]; the inverse of multiset_from_values."""
+    return [[list(t.as_tuple()) for t in seq] for seq in ms.grades]
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,19 +328,22 @@ class CutThresholds:
 
 @dataclass(frozen=True, slots=True)
 class CutRegion:
-    """A finite union of closed intervals, kept sorted, disjoint and
-    non-adjacent (touching intervals are merged on construction).
-    Degenerate single-point intervals are allowed."""
+    """A finite union of closed intervals with finite endpoints, kept
+    sorted, disjoint and non-adjacent (touching intervals are merged on
+    construction).  Degenerate single-point intervals are allowed."""
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         raw = []
+        lo, hi = -math.inf, math.inf
         for pair in self.intervals:
             a, b = pair
             a, b = float(a), float(b)
-            if b < a:
-                raise MalformedRegion(f"interval [{a!r}, {b!r}] is reversed")
+            if not lo < a <= b < hi:
+                raise MalformedRegion(
+                    f"interval [{a!r}, {b!r}] is reversed or not finite"
+                )
             raw.append((a, b))
         raw.sort()
         merged: list[tuple[float, float]] = []

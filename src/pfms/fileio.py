@@ -27,6 +27,7 @@ from .core import (
     GradeTriple,
     PfmsError,
     PictureFuzzyMultiset,
+    values_from_multiset,
 )
 
 FORMAT_VERSION = "1"
@@ -54,7 +55,10 @@ class SchemaError(PfmsError):
 def _require_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(path, "integer too large for a float") from None
 
 
 def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
@@ -126,6 +130,8 @@ def parse_instance(text: str) -> PictureFuzzyMultiset:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise SchemaError("$", "arrays or objects nest too deeply") from None
     return instance_from_document(doc)
 
 
@@ -135,9 +141,7 @@ def instance_document(ms: PictureFuzzyMultiset) -> dict:
         "format_version": FORMAT_VERSION,
         "domain": list(ms.grid.points),
         "depth": ms.depth,
-        "elements": [
-            [list(t.as_tuple()) for t in seq] for seq in ms.grades
-        ],
+        "elements": values_from_multiset(ms),
     }
 
 

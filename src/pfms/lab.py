@@ -7,8 +7,9 @@ seed and the trial index, so re-runs produce byte-identical reports.
 The oracles are deliberately written against different machinery than the
 exact checkers they validate: convexity is brute-forced by sampling the
 segment inequalities on a uniform coordinate lattice (vectorised with
-numpy), and hull envelopes are found by exhaustively enumerating monotone
-candidate sequences rather than by the running-maximum construction.
+numpy), hull envelopes are found by exhaustively enumerating monotone
+candidate sequences rather than by the running-maximum construction, and
+the cut scan decides convexity from threshold cuts instead of node shapes.
 """
 
 from __future__ import annotations
@@ -24,16 +25,19 @@ import numpy as np
 from .core import (
     CHANNELS,
     TOL_CMP,
-    TOL_SUM,
+    CutRegion,
+    CutThresholds,
     PfmsError,
     PictureFuzzyMultiset,
     multiset_from_values,
+    values_from_multiset,
 )
 from .algebra import complement, convex_combination, equals, intersection, union
 from .convexity import (
     GradeField,
+    _lower_region,
+    _upper_region,
     convex_hull,
-    cuts_all_convex,
     hull_membership_test,
     is_convex_exact,
     jensen_check,
@@ -56,6 +60,7 @@ class UnknownSuite(PfmsError):
 
 
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
+_MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +82,10 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise BadConfig(f"seed must be an integer, got {self.seed!r}")
-        if not 1 <= self.grid_size <= 64:
-            raise BadConfig(f"grid_size {self.grid_size!r} outside 1..64")
+        if not 1 <= self.grid_size <= _MAX_GRID_SIZE:
+            raise BadConfig(
+                f"grid_size {self.grid_size!r} outside 1..{_MAX_GRID_SIZE}"
+            )
         if not 1 <= self.depth <= 8:
             raise BadConfig(f"depth {self.depth!r} outside 1..8")
         if self.value_lattice is not None and not (
@@ -256,7 +263,7 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
     channel = rng.choice(CHANNELS)
     node = rng.randrange(1, ms.size - 1)
     level = ms.depth - 1 if channel == "positive" else rng.randrange(ms.depth)
-    raw = [[list(t.as_tuple()) for t in seq] for seq in ms.grades]
+    raw = values_from_multiset(ms)
 
     if channel == "positive":
         for j in (node - 1, node + 1):
@@ -344,6 +351,60 @@ def oracle_convexity(
                 if np.any(at_blend < bound - TOL_CMP):
                     return False
     return True
+
+
+@dataclass(frozen=True, slots=True)
+class CutWitness:
+    """Thresholds and level whose cut fell apart into several intervals."""
+
+    thresholds: CutThresholds
+    level: int
+    region: CutRegion
+
+
+@dataclass(frozen=True, slots=True)
+class CutConvexityReport:
+    convex: bool
+    witness: CutWitness | None = None
+
+
+def cuts_all_convex(ms: PictureFuzzyMultiset) -> CutConvexityReport:
+    """Whether every threshold cut, at every level, is a single interval.
+
+    Piecewise-linear channels only change the shape of a cut at node
+    values, so scanning the node values (plus 0 and 1) per channel covers
+    all thresholds.  Full threshold triples reduce to one active channel:
+    intervals are closed under intersection, so some triple yields a
+    disconnected cut exactly when some single channel does, and the
+    reported witness fixes the other two thresholds at their slack values
+    (0 for the lower bounds, 1 for the upper one).  The scan solves one
+    cut per node value, quadratic in the grid size, so grids beyond the
+    generators' own limit of 64 points are refused."""
+    if ms.size > _MAX_GRID_SIZE:
+        raise TooLarge(
+            f"cut scan handles at most {_MAX_GRID_SIZE} grid points, got {ms.size}"
+        )
+    xs = ms.grid.points
+    for level in range(1, ms.depth + 1):
+        scans = (
+            ("positive", _upper_region, lambda v: CutThresholds(v, 0.0, 1.0)),
+            ("neutral", _upper_region, lambda v: CutThresholds(0.0, v, 1.0)),
+            ("negative", _lower_region, lambda v: CutThresholds(0.0, 0.0, v)),
+        )
+        for channel, solver, to_thresholds in scans:
+            nodes = ms.channel_nodes(channel, level)
+            for value in sorted(set(nodes) | {0.0, 1.0}):
+                region = CutRegion(tuple(solver(xs, nodes, value)))
+                if not region.is_convex:
+                    return CutConvexityReport(
+                        convex=False,
+                        witness=CutWitness(
+                            thresholds=to_thresholds(value),
+                            level=level,
+                            region=region,
+                        ),
+                    )
+    return CutConvexityReport(convex=True)
 
 
 def _enum_nondecreasing(
@@ -434,18 +495,7 @@ def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
         )
         neg = tuple(-v for v in neg_mirror)
         per_level.append((pos, neu, neg))
-    values = []
-    flags = []
-    for i in range(ms.size):
-        point_values = []
-        point_flags = []
-        for pos, neu, neg in per_level:
-            triple = (pos[i], neu[i], neg[i])
-            point_values.append(triple)
-            point_flags.append(sum(triple) <= 1.0 + TOL_SUM)
-        values.append(tuple(point_values))
-        flags.append(tuple(point_flags))
-    return GradeField(grid=ms.grid, values=tuple(values), valid=tuple(flags))
+    return GradeField.from_envelopes(ms.grid, per_level)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +503,16 @@ def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
 
 
 def _drop_level(ms: PictureFuzzyMultiset, k: int) -> PictureFuzzyMultiset:
-    values = [
-        [list(t.as_tuple()) for j, t in enumerate(seq) if j != k]
-        for seq in ms.grades
-    ]
+    values = values_from_multiset(ms)
+    for per_point in values:
+        del per_point[k]
     return multiset_from_values(ms.grid.points, values)
 
 
 def _drop_node(ms: PictureFuzzyMultiset, i: int) -> PictureFuzzyMultiset:
     points = [x for j, x in enumerate(ms.grid.points) if j != i]
-    values = [
-        [list(t.as_tuple()) for t in seq]
-        for j, seq in enumerate(ms.grades)
-        if j != i
-    ]
+    values = values_from_multiset(ms)
+    del values[i]
     return multiset_from_values(points, values)
 
 
@@ -542,20 +588,6 @@ def _config_dict(cfg: GeneratorConfig) -> dict:
     }
 
 
-def _witness_dict(w) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "x": w.x,
-        "y": w.y,
-        "lambda": w.lam,
-        "level": w.level,
-        "channel": w.channel,
-        "lhs": w.lhs,
-        "rhs": w.rhs,
-    }
-
-
 def _suite_cut_equivalence(trials: int, seed: int, record) -> None:
     for idx in range(trials):
         sub = _trial_seed(seed, idx)
@@ -579,7 +611,7 @@ def _suite_cut_equivalence(trials: int, seed: int, record) -> None:
                     "instance": instance_document(ms),
                     "exact_convex": exact.convex,
                     "cuts_convex": scan.convex,
-                    "witness": _witness_dict(exact.witness),
+                    "witness": exact.witness and exact.witness.to_dict(),
                 }
             )
 
@@ -648,7 +680,7 @@ def _suite_intersection_closure(trials: int, seed: int, record) -> None:
                     "config": _config_dict(cfg),
                     "left": instance_document(a),
                     "right": instance_document(b),
-                    "witness": _witness_dict(report.witness),
+                    "witness": report.witness.to_dict(),
                 }
             )
 
@@ -681,7 +713,7 @@ def _suite_family_intersection(trials: int, seed: int, record) -> None:
                     "config": _config_dict(cfg),
                     "family_size": size,
                     "members": [instance_document(ms) for ms in family],
-                    "witness": _witness_dict(report.witness),
+                    "witness": report.witness.to_dict(),
                 }
             )
 
@@ -736,7 +768,7 @@ def _suite_jensen(trials: int, seed: int, record) -> None:
                     "kind": "jensen-witness-not-failing",
                     "config": _config_dict(cfg),
                     "instance": instance_document(planted),
-                    "witness": _witness_dict(witness),
+                    "witness": witness.to_dict(),
                     "slack": slack,
                 }
             )
@@ -900,7 +932,7 @@ def _suite_hull_theorem_discrepancy(trials: int, seed: int, record) -> None:
 
 
 def _level_slice(ms: PictureFuzzyMultiset, level: int) -> PictureFuzzyMultiset:
-    values = [[list(seq[level - 1].as_tuple())] for seq in ms.grades]
+    values = [[per_point[level - 1]] for per_point in values_from_multiset(ms)]
     return multiset_from_values(ms.grid.points, values)
 
 

@@ -3,6 +3,7 @@ import pytest
 from pfms import (
     ChannelWeights,
     DepthMismatch,
+    GradeTriple,
     GridMismatch,
     LengthMismatch,
     PositiveOrderViolation,
@@ -13,7 +14,6 @@ from pfms import (
     equals,
     includes,
     intersection,
-    make_triple,
     multiset_from_values,
     pcc_points,
     segment_grade_blend,
@@ -145,6 +145,19 @@ class TestComplement:
         assert triple_at(out, 0, 1) == (0.5, 0.1, 0.4)
         assert triple_at(out, 0, 2) == (0.0, 0.1, 0.7)
 
+    def test_tied_positives_sort_by_neutral_then_negative(self):
+        # equal new positives: neutral descending, then negative ascending
+        by_neutral = complement(
+            multiset_from_values((0.0,), [[[0.5, 0.1, 0.3], [0.1, 0.3, 0.3]]])
+        )
+        assert triple_at(by_neutral, 0, 1) == (0.3, 0.3, 0.1)
+        assert triple_at(by_neutral, 0, 2) == (0.3, 0.1, 0.5)
+        by_negative = complement(
+            multiset_from_values((0.0,), [[[0.5, 0.2, 0.3], [0.1, 0.2, 0.3]]])
+        )
+        assert triple_at(by_negative, 0, 1) == (0.3, 0.2, 0.1)
+        assert triple_at(by_negative, 0, 2) == (0.3, 0.2, 0.5)
+
     def test_involution_up_to_level_reordering(self, deep_ms):
         back = complement(complement(deep_ms))
         for seq_a, seq_b in zip(back.grades, deep_ms.grades):
@@ -223,12 +236,12 @@ class TestSegmentGradeBlend:
 
 class TestPccPoints:
     def test_degenerate_single_point(self):
-        out = pcc_points([make_triple(0.7, 0.2, 0.1)], [(1.0, 0.0, 0.0)])
+        out = pcc_points([GradeTriple(0.7, 0.2, 0.1)], [(1.0, 0.0, 0.0)])
         assert out.as_tuple() == (0.7, 0.0, 0.0)
 
     def test_two_point_example(self):
         out = pcc_points(
-            [make_triple(0.6, 0.2, 0.1), make_triple(0.4, 0.1, 0.2)],
+            [GradeTriple(0.6, 0.2, 0.1), GradeTriple(0.4, 0.1, 0.2)],
             [(0.3, 0.1, 0.1), (0.3, 0.1, 0.1)],
         )
         assert out.positive == pytest.approx(0.30, **APPROX)
@@ -237,7 +250,7 @@ class TestPccPoints:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            pcc_points([make_triple(0.5, 0.2, 0.2)], [(0.5, 0.0, 0.0), (0.5, 0.0, 0.0)])
+            pcc_points([GradeTriple(0.5, 0.2, 0.2)], [(0.5, 0.0, 0.0), (0.5, 0.0, 0.0)])
 
     def test_output_always_valid(self):
         # closure: output sum bounded by the joint weight sum
@@ -253,7 +266,7 @@ class TestPccPoints:
                 if total > 1.0:
                     scale = rng.uniform(0.5, 1.0) / total
                     p, u, g = p * scale, u * scale, g * scale
-                triples.append(make_triple(p, u, g))
+                triples.append(GradeTriple(p, u, g))
             raw = [[rng.random() for _ in range(3)] for _ in range(n)]
             joint = sum(sum(row) for row in raw)
             weights = [

@@ -104,6 +104,40 @@ class TestValidate:
         assert err.startswith("error:")
 
 
+HOSTILE_INPUTS = {
+    "huge-integer": json.dumps(
+        {**CONVEX_DOC, "domain": [int("9" * 400), 1.0, 2.0]}
+    ).encode(),
+    "deep-nesting": b"[" * 100_000,
+    "not-utf8": b'{"format_version": "1\xff"}',
+}
+
+
+@pytest.mark.parametrize(
+    "name, command, expected",
+    [
+        ("huge-integer", "validate", 1),
+        ("huge-integer", "check-convex", 2),
+        ("deep-nesting", "validate", 1),
+        ("deep-nesting", "check-convex", 2),
+        ("not-utf8", "validate", 2),
+        ("not-utf8", "check-convex", 2),
+    ],
+)
+def test_hostile_input_keeps_exit_code_contract(
+    tmp_path, capsys, name, command, expected
+):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(HOSTILE_INPUTS[name])
+    code, out, err = run(capsys, command, str(path))
+    assert code == expected
+    if expected == 1:
+        assert json.loads(out)["valid"] is False
+    else:
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestCheckConvex:
     def test_convex_exact(self, files, capsys):
         code, out, _ = run(capsys, "check-convex", files["convex"])

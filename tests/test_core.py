@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import pfms
 from pfms import (
     BadLevel,
     CutRegion,
@@ -20,11 +23,7 @@ from pfms import (
     PositiveOrderViolation,
     SumExceedsOne,
     TOL_CMP,
-    make_pfms,
-    make_triple,
     multiset_from_values,
-    pad,
-    sort_levels,
 )
 
 APPROX = dict(abs=1e-12)
@@ -32,30 +31,30 @@ APPROX = dict(abs=1e-12)
 
 class TestGradeTriple:
     def test_valid_triple_and_refusal(self):
-        t = make_triple(0.5, 0.2, 0.2)
+        t = GradeTriple(0.5, 0.2, 0.2)
         assert t.as_tuple() == (0.5, 0.2, 0.2)
         assert t.refusal == pytest.approx(0.1, **APPROX)
 
     def test_zero_triple_full_refusal(self):
-        assert make_triple(0.0, 0.0, 0.0).refusal == 1.0
+        assert GradeTriple(0.0, 0.0, 0.0).refusal == 1.0
 
     def test_boundary_sum_refusal_zero(self):
-        assert make_triple(0.4, 0.3, 0.3).refusal == pytest.approx(0.0, **APPROX)
+        assert GradeTriple(0.4, 0.3, 0.3).refusal == pytest.approx(0.0, **APPROX)
 
     def test_sum_exceeds_one_rejected(self):
         with pytest.raises(SumExceedsOne):
-            make_triple(0.6, 0.3, 0.3)
+            GradeTriple(0.6, 0.3, 0.3)
 
     @pytest.mark.parametrize("bad", [(1.2, 0, 0), (0, -0.1, 0), (0, 0, 2)])
     def test_component_out_of_unit(self, bad):
         with pytest.raises(OutOfUnitInterval):
-            make_triple(*bad)
+            GradeTriple(*bad)
 
     def test_bool_and_nan_rejected(self):
         with pytest.raises(OutOfUnitInterval):
-            make_triple(True, 0.0, 0.0)
+            GradeTriple(True, 0.0, 0.0)
         with pytest.raises(OutOfUnitInterval):
-            make_triple(float("nan"), 0.0, 0.0)
+            GradeTriple(float("nan"), 0.0, 0.0)
 
     def test_rounding_slack_just_over_one_accepted(self):
         # linear interpolation of valid triples can overshoot by rounding
@@ -65,7 +64,7 @@ class TestGradeTriple:
             GradeTriple(1.0 + 1e-8, 0.0, 0.0)
 
     def test_channel_accessor(self):
-        t = make_triple(0.3, 0.2, 0.1)
+        t = GradeTriple(0.3, 0.2, 0.1)
         assert t.channel("positive") == 0.3
         assert t.channel("neutral") == 0.2
         assert t.channel("negative") == 0.1
@@ -75,30 +74,22 @@ class TestGradeTriple:
 
 class TestGradeSequence:
     def test_positive_order_enforced(self):
-        GradeSequence((make_triple(0.7, 0.1, 0.1), make_triple(0.4, 0.2, 0.2)))
+        GradeSequence((GradeTriple(0.7, 0.1, 0.1), GradeTriple(0.4, 0.2, 0.2)))
         with pytest.raises(PositiveOrderViolation):
-            GradeSequence((make_triple(0.3, 0.1, 0.1), make_triple(0.5, 0.1, 0.1)))
+            GradeSequence((GradeTriple(0.3, 0.1, 0.1), GradeTriple(0.5, 0.1, 0.1)))
 
     def test_equal_positive_values_allowed(self):
-        seq = GradeSequence((make_triple(0.4, 0.0, 0.0), make_triple(0.4, 0.3, 0.1)))
+        seq = GradeSequence((GradeTriple(0.4, 0.0, 0.0), GradeTriple(0.4, 0.3, 0.1)))
         assert seq.depth == 2
 
     def test_order_slack_within_tolerance(self):
         GradeSequence(
-            (make_triple(0.4, 0.0, 0.0), make_triple(0.4 + TOL_CMP / 2, 0.0, 0.0))
+            (GradeTriple(0.4, 0.0, 0.0), GradeTriple(0.4 + TOL_CMP / 2, 0.0, 0.0))
         )
 
     def test_empty_rejected(self):
         with pytest.raises(LengthMismatch):
             GradeSequence(())
-
-    def test_sort_levels_tiebreak(self):
-        # positive descending, then neutral descending, then negative ascending
-        seq = GradeSequence(
-            (make_triple(0.5, 0.1, 0.3), make_triple(0.5, 0.3, 0.1))
-        )
-        ordered = sort_levels(seq)
-        assert [t.as_tuple() for t in ordered] == [(0.5, 0.3, 0.1), (0.5, 0.1, 0.3)]
 
 
 class TestDomainGrid:
@@ -145,16 +136,17 @@ class TestPictureFuzzyMultiset:
 
     def test_alignment_errors(self):
         seqs = (
-            GradeSequence((make_triple(0.2, 0.1, 0.5),)),
-            GradeSequence((make_triple(0.6, 0.2, 0.1),)),
+            GradeSequence((GradeTriple(0.2, 0.1, 0.5),)),
+            GradeSequence((GradeTriple(0.6, 0.2, 0.1),)),
         )
+        grid = DomainGrid((0.0, 1.0, 2.0))
         with pytest.raises(LengthMismatch):
-            make_pfms((0.0, 1.0, 2.0), seqs)
+            PictureFuzzyMultiset(grid, seqs)
         ragged = seqs + (
-            GradeSequence((make_triple(0.3, 0.1, 0.4), make_triple(0.1, 0.1, 0.4))),
+            GradeSequence((GradeTriple(0.3, 0.1, 0.4), GradeTriple(0.1, 0.1, 0.4))),
         )
         with pytest.raises(RaggedDepth):
-            make_pfms((0.0, 1.0, 2.0), ragged)
+            PictureFuzzyMultiset(grid, ragged)
 
     def test_positive_order_violation_propagates(self):
         with pytest.raises(PositiveOrderViolation):
@@ -207,25 +199,6 @@ class TestPictureFuzzyMultiset:
             convex_ms.evaluate(0.5, 2)
 
 
-class TestPad:
-    def test_default_fill_appends_full_refusal(self, convex_ms):
-        padded = pad(convex_ms, 3)
-        assert padded.depth == 3
-        assert padded.evaluate(0.0, 3).as_tuple() == (0.0, 0.0, 0.0)
-        assert padded.evaluate(0.0, 1).as_tuple() == (0.2, 0.1, 0.5)
-
-    def test_alternative_fill(self, convex_ms):
-        padded = pad(convex_ms, 2, fill=GradeTriple(0.0, 0.0, 1.0))
-        assert padded.evaluate(2.0, 2).as_tuple() == (0.0, 0.0, 1.0)
-
-    def test_same_depth_is_identity(self, convex_ms):
-        assert pad(convex_ms, 1) == convex_ms
-
-    def test_shrinking_rejected(self, deep_ms):
-        with pytest.raises(BadLevel):
-            pad(deep_ms, 1)
-
-
 class TestCutThresholds:
     def test_validation(self):
         thr = CutThresholds(0.4, 0.15, 0.2)
@@ -258,8 +231,12 @@ class TestCutRegion:
         assert region.is_convex
 
     def test_reversed_interval_rejected(self):
-        with pytest.raises(MalformedRegion):
-            CutRegion(((2.0, 1.0),))
+        bad_intervals = (
+            (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)
+        )
+        for bad in bad_intervals:
+            with pytest.raises(MalformedRegion):
+                CutRegion((bad,))
 
     def test_empty_region(self):
         region = CutRegion(())
@@ -270,3 +247,16 @@ class TestCutRegion:
         b = CutRegion(((1.0, 4.0),))
         assert a.intersect(b).intervals == ((1.0, 2.0), (3.0, 4.0))
         assert a.intersect(CutRegion(())).is_empty
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    tree = ast.parse(Path(pfms.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert len(pfms.__all__) == len(set(pfms.__all__))
+    assert sorted(pfms.__all__) == sorted(imported + ["__version__"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from pfms import (
     TooLarge,
     UnknownSuite,
     convex_hull,
+    cuts_all_convex,
     gen_pfms,
     hull_gap_fixture,
     hull_membership_test,
@@ -179,6 +181,18 @@ class TestOracleHull:
             oracle_hull(convex_ms, 0.3)
 
 
+class TestCutScan:
+    def test_size_gate_matches_generator_limit(self):
+        def flat(m):
+            return multiset_from_values(
+                tuple(float(i) for i in range(m)), [[[0.3, 0.2, 0.1]]] * m
+            )
+
+        assert cuts_all_convex(flat(64)).convex
+        with pytest.raises(TooLarge):
+            cuts_all_convex(flat(65))
+
+
 class TestShrink:
     def test_shrinks_to_local_minimum(self):
         base = gen_pfms(GeneratorConfig(seed=21, grid_size=6, depth=3, convex_only=True))
@@ -248,6 +262,25 @@ class TestSuites:
             first = run_suite(name, 12, seed=3).to_json()
             second = run_suite(name, 12, seed=3).to_json()
             assert first == second
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cut-equivalence", "46974808d944b60ae67a4b89d3ae8554c4d3db107a3289935e9b39ace09df8fd"),
+            ("intersection-closure", "fbc8d184b546dec2d29826c6eeee76c96c8cefbc089436ab51bdb3d233ee2933"),
+            ("family-intersection", "58017c4adb54707b809e6fba87be38712e0cd5f4a26c02095dad25c171b07898"),
+            ("jensen", "610e17767f359e68b9c7c015a6a9465f9a49aea06906468f88b61643794ccc03"),
+            ("hull-properties", "8385b2f97024369e828ab3a704bfa5d50b88f3a3d1ef2b08aaf5a637f2fed3a1"),
+            ("hull-theorem-discrepancy", "50fe2eb5ad84c812cbffc9b4c8c21072bd6d8a9ecc14fc075a6909814fa85878"),
+            ("algebra-laws", "a4f7770ee359f2dcf7ca91d0cd3c52300ad41e77939a50ec901796284bcafc81"),
+            ("oracle-equivalence", "42459eedabd5646e47cd7be4fd14ad74049818016fc52c2f39d2f6bc9a6b92da"),
+        ],
+    )
+    def test_report_bytes_pinned(self, name, digest):
+        # Refactors must not change a single report byte; a deliberate
+        # change to a suite's output updates its digest here.
+        report = run_suite(name, 25, seed=7).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
     def test_counterexample_replays(self):
         result = run_suite("hull-theorem-discrepancy", 6, seed=2)
