@@ -5,7 +5,8 @@ degree; intersection mirrors it; complement swaps the positive and
 negative channels and restores the level order.  Convex combinations mix
 two multisets with one scalar weight applied uniformly to all channels.
 All binary operations require identical grids and depths and never mutate
-their arguments.
+their arguments.  Each operation is a few whole-array numpy expressions
+over the operands' (points, levels, 3) value arrays.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
+    CHANNEL_SIGNS,
     TOL_CMP,
     TOL_SUM,
-    GradeSequence,
     GradeTriple,
     LengthMismatch,
     PfmsError,
@@ -130,20 +133,17 @@ def _check_aligned(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> None:
         )
 
 
+# Signs that turn union's and intersection's max and min into one ">" test.
+_UNION = np.array([1.0, -1.0, -1.0])
+_INTERSECTION = np.array([-1.0, -1.0, 1.0])
+
+
 def includes(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> bool:
     """True when ``a`` is contained in ``b``: level-wise, the positive and
     neutral degrees of ``a`` do not exceed those of ``b`` and its negative
     degree is not below, all up to comparison tolerance."""
     _check_aligned(a, b)
-    for sa, sb in zip(a.grades, b.grades):
-        for ta, tb in zip(sa, sb):
-            if ta.positive > tb.positive + TOL_CMP:
-                return False
-            if ta.neutral > tb.neutral + TOL_CMP:
-                return False
-            if ta.negative < tb.negative - TOL_CMP:
-                return False
-    return True
+    return not (a.values * CHANNEL_SIGNS > b.values * CHANNEL_SIGNS + TOL_CMP).any()
 
 
 def equals(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> bool:
@@ -151,46 +151,26 @@ def equals(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> bool:
     return includes(a, b) and includes(b, a)
 
 
-def _zip_levels(
-    a: PictureFuzzyMultiset,
-    b: PictureFuzzyMultiset,
-    combine,
+def _pick(
+    a: PictureFuzzyMultiset, b: PictureFuzzyMultiset, sign: np.ndarray
 ) -> PictureFuzzyMultiset:
-    grades = tuple(
-        GradeSequence(tuple(combine(ta, tb) for ta, tb in zip(sa, sb)))
-        for sa, sb in zip(a.grades, b.grades)
-    )
-    return PictureFuzzyMultiset(a.grid, grades)
+    """Per entry, ``b``'s value where it beats ``a``'s strictly along
+    ``sign``, else ``a``'s: ties keep the first operand, as max and min do."""
+    _check_aligned(a, b)
+    va, vb = a.values, b.values
+    return PictureFuzzyMultiset(a.grid, np.where(vb * sign > va * sign, vb, va))
 
 
 def union(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     """Level-wise join: max positive, min neutral, min negative."""
-    _check_aligned(a, b)
-    return _zip_levels(
-        a,
-        b,
-        lambda ta, tb: GradeTriple(
-            max(ta.positive, tb.positive),
-            min(ta.neutral, tb.neutral),
-            min(ta.negative, tb.negative),
-        ),
-    )
+    return _pick(a, b, _UNION)
 
 
 def intersection(
     a: PictureFuzzyMultiset, b: PictureFuzzyMultiset
 ) -> PictureFuzzyMultiset:
     """Level-wise meet: min positive, min neutral, max negative."""
-    _check_aligned(a, b)
-    return _zip_levels(
-        a,
-        b,
-        lambda ta, tb: GradeTriple(
-            min(ta.positive, tb.positive),
-            min(ta.neutral, tb.neutral),
-            max(ta.negative, tb.negative),
-        ),
-    )
+    return _pick(a, b, _INTERSECTION)
 
 
 def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
@@ -198,14 +178,15 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
 
     The swap itself is exact; re-sorting is required because the new
     positive channel (the old negative one) carries no order guarantee.
-    Ties sort by neutral descending, then negative ascending.
-    """
-    grades = []
-    for seq in a.grades:
-        swapped = [GradeTriple(t.negative, t.neutral, t.positive) for t in seq]
-        swapped.sort(key=lambda t: (-t.positive, -t.neutral, t.negative))
-        grades.append(GradeSequence(tuple(swapped)))
-    return PictureFuzzyMultiset(a.grid, tuple(grades))
+    Ties sort by neutral descending, then negative ascending, and keep
+    their level order when all three agree (the sort is stable)."""
+    swapped = a.values[..., ::-1]
+    if a.depth > 1:
+        order = np.lexsort(
+            (swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1
+        )
+        swapped = np.take_along_axis(swapped, order[..., None], axis=1)
+    return PictureFuzzyMultiset(a.grid, swapped)
 
 
 def convex_combination(
@@ -223,15 +204,7 @@ def convex_combination(
     _check_aligned(a, b)
     lam = check_unit(lam, "lambda")
     mu = 1.0 - lam
-    return _zip_levels(
-        a,
-        b,
-        lambda ta, tb: GradeTriple(
-            lam * ta.positive + mu * tb.positive,
-            lam * ta.neutral + mu * tb.neutral,
-            lam * ta.negative + mu * tb.negative,
-        ),
-    )
+    return PictureFuzzyMultiset(a.grid, lam * a.values + mu * b.values)
 
 
 def segment_grade_blend(

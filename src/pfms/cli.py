@@ -134,10 +134,8 @@ def _cmd_hull(args: argparse.Namespace) -> int:
     _emit(
         {
             "domain": list(field.grid.points),
-            "values": [
-                [list(triple) for triple in node] for node in field.values
-            ],
-            "valid": [list(flags) for flags in field.valid],
+            "values": field.values.tolist(),
+            "valid": field.mask.tolist(),
             "fully_valid": field.fully_valid,
         }
     )

@@ -9,8 +9,10 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-Cuts are computed exactly by solving each linear segment against the
-thresholds and intersecting the three channel regions as interval unions.
+The exact check and the hull envelopes take running maxima of the value
+array from both ends; cuts solve all segment crossings at once and
+intersect the three channel regions as interval unions.  Multiplying by
+CHANNEL_SIGNS makes the negative channel quasi-concave like the others.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
+    CHANNEL_SIGNS,
     TOL_CMP,
     TOL_SUM,
     CHANNELS,
@@ -32,7 +37,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     SumExceedsOne,
-    multiset_from_values,
+    channel_index,
 )
 from .algebra import WeightVector
 
@@ -99,62 +104,69 @@ class JensenReport:
     slacks: tuple[float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class GradeField:
     """Per-node, per-level channel values without the sum constraint.
 
     Convex hulls raise the positive and neutral channels and lower the
-    negative one independently, which can push a node's sum past one; the
-    ``valid`` flags record, per node and level, whether the triple still
-    satisfies the sum bound.  Channel ranges are always respected."""
+    negative one independently, which can push a node's sum past one.
+    ``values`` is a (points, levels, 3) array like a multiset's; the
+    (points, levels) bool array ``mask`` (as tuples: ``valid``) records
+    whether each triple still satisfies the sum bound.  Channel ranges are
+    always respected."""
 
     grid: DomainGrid
-    values: tuple[tuple[tuple[float, float, float], ...], ...]
-    valid: tuple[tuple[bool, ...], ...]
+    values: np.ndarray
+    mask: np.ndarray
 
     @classmethod
-    def from_envelopes(
-        cls,
-        grid: DomainGrid,
-        per_level: Sequence[Sequence[Sequence[float]]],
-    ) -> "GradeField":
-        """Assemble a field from per-level (positive, neutral, negative)
-        node sequences, flagging every triple against the sum bound."""
-        levels = [list(zip(pos, neu, neg)) for pos, neu, neg in per_level]
-        flags = [[sum(t) <= 1.0 + TOL_SUM for t in triples] for triples in levels]
-        # zip(*...) turns level-major lists into node-major tuples
-        return cls(grid=grid, values=tuple(zip(*levels)), valid=tuple(zip(*flags)))
+    def from_envelopes(cls, grid: DomainGrid, values: np.ndarray) -> "GradeField":
+        """Field of an envelope array, each triple flagged against the sum bound."""
+        values = np.array(values, dtype=np.float64)
+        mask = (values[..., 0] + values[..., 1]) + values[..., 2] <= 1.0 + TOL_SUM
+        values.flags.writeable = False
+        mask.flags.writeable = False
+        return cls(grid=grid, values=values, mask=mask)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradeField):
+            return NotImplemented
+        same = self.grid == other.grid and np.array_equal(self.values, other.values)
+        return same and np.array_equal(self.mask, other.mask)
+
+    @property
+    def valid(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(map(tuple, self.mask.tolist()))
 
     @property
     def depth(self) -> int:
-        return len(self.values[0])
+        return self.values.shape[1]
 
     @property
     def fully_valid(self) -> bool:
-        return all(all(flags) for flags in self.valid)
+        return bool(self.mask.all())
 
     def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
-        idx = CHANNELS.index(channel)
-        return tuple(per_point[level - 1][idx] for per_point in self.values)
+        return tuple(self.values[:, level - 1, channel_index(channel)].tolist())
 
     def channel_at(self, channel: str, level: int, x: float) -> float:
         """Linear interpolation of one hull channel, exact at nodes."""
-        nodes = self.channel_nodes(channel, level)
+        nodes = self.values[:, level - 1, channel_index(channel)]
         i, t = self.grid.locate(x)
         if t is None:
-            return nodes[i]
-        return (1.0 - t) * nodes[i] + t * nodes[i + 1]
+            return float(nodes[i])
+        a, b = nodes[i : i + 2].tolist()
+        return (1.0 - t) * a + t * b
 
     def to_multiset(self) -> PictureFuzzyMultiset:
         """Reinterpret as a multiset; raises SumExceedsOne when any node
         and level is flagged invalid."""
-        for i, flags in enumerate(self.valid):
-            for k, ok in enumerate(flags):
-                if not ok:
-                    raise SumExceedsOne(
-                        f"hull triple at node {i}, level {k + 1} exceeds the sum bound"
-                    )
-        return multiset_from_values(self.grid.points, self.values)
+        if not self.mask.all():
+            i, k = divmod(int(self.mask.argmin()), self.depth)
+            raise SumExceedsOne(
+                f"hull triple at node {i}, level {k + 1} exceeds the sum bound"
+            )
+        return PictureFuzzyMultiset(self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,49 +178,37 @@ def is_unimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
 
     Equivalent to: no interior value sits more than ``tol`` below both
     some value to its left and some value to its right."""
-    return _worst_dip(values, tol) is None
+    return _worst_dip(np.asarray(values, dtype=np.float64), tol) is None
 
 
 def is_antiunimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
     """True when the sequence falls to a valley and then rises, up to ``tol``."""
-    return _worst_dip([-v for v in values], tol) is None
+    return _worst_dip(-np.asarray(values, dtype=np.float64), tol) is None
 
 
-def _worst_dip(
-    values: Sequence[float], tol: float
-) -> tuple[float, int, int, int, float] | None:
-    """Deepest interior dip below the surrounding prefix maxima.
+def _dips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per interior index i along axis 0, the deficit ref - values[i] and
+    the reference ref = min(max values[:i], max values[i + 1:])."""
+    left = np.maximum.accumulate(values[:-2], axis=0)
+    right = np.maximum.accumulate(values[:1:-1], axis=0)[::-1]
+    ref = np.minimum(left, right)
+    return ref - values[1:-1], ref
 
-    Returns (deficit, left, mid, right, reference) where ``mid`` is the
-    dipping node, ``left``/``right`` are the nearest flanking nodes whose
-    values reach ``reference``, and deficit = reference - values[mid] is
-    maximal and exceeds ``tol``.  Returns None when no such dip exists."""
-    n = len(values)
-    if n < 3:
+
+def _worst_dip(values: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+    """Deepest interior dip of a 1-D array deeper than ``tol``, as
+    (left, mid, right): ``mid`` is the first of the deepest dipping nodes,
+    ``left``/``right`` its nearest flanks reaching the reference; or None."""
+    if len(values) < 3:
         return None
-    left_max = [values[0]] * n
-    for i in range(1, n):
-        left_max[i] = max(left_max[i - 1], values[i])
-    right_max = [values[-1]] * n
-    for i in range(n - 2, -1, -1):
-        right_max[i] = max(right_max[i + 1], values[i])
-    best: tuple[float, int] | None = None
-    for i in range(1, n - 1):
-        ref = min(left_max[i - 1], right_max[i + 1])
-        deficit = ref - values[i]
-        if deficit > tol and (best is None or deficit > best[0]):
-            best = (deficit, i)
-    if best is None:
+    deficit, ref = _dips(values)
+    j = int(deficit.argmax())
+    if not deficit[j] > tol:
         return None
-    deficit, mid = best
-    ref = min(left_max[mid - 1], right_max[mid + 1])
-    left = mid - 1
-    while values[left] < ref:
-        left -= 1
-    right = mid + 1
-    while values[right] < ref:
-        right += 1
-    return deficit, left, mid, right, ref
+    mid = j + 1
+    left = int(np.flatnonzero(values[:mid] >= ref[j])[-1])
+    right = mid + 1 + int(np.flatnonzero(values[mid + 1 :] >= ref[j])[0])
+    return left, mid, right
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +216,14 @@ def _worst_dip(
 
 
 def _node_witness(
-    ms: PictureFuzzyMultiset,
-    channel: str,
-    level: int,
-    left: int,
-    mid: int,
-    right: int,
-    upper: bool,
+    ms: PictureFuzzyMultiset, k: int, c: int, left: int, mid: int, right: int
 ) -> Witness:
-    xs = ms.grid.points
-    nodes = ms.channel_nodes(channel, level)
+    xs, nodes = ms.grid.points, ms.values[:, k, c].tolist()
     x, y = xs[left], xs[right]
-    lam = (xs[mid] - x) / (y - x)
-    rhs = max(nodes[left], nodes[right]) if upper else min(nodes[left], nodes[right])
-    return Witness(
-        x=x, y=y, lam=lam, level=level, channel=channel, lhs=nodes[mid], rhs=rhs
-    )
+    ends = (nodes[left], nodes[right])
+    rhs = max(ends) if CHANNELS[c] == "negative" else min(ends)
+    return Witness(x=x, y=y, lam=(xs[mid] - x) / (y - x), level=k + 1,
+                   channel=CHANNELS[c], lhs=nodes[mid], rhs=rhs)
 
 
 def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
@@ -240,32 +232,19 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     Piecewise-linear channels are quasi-concave exactly when their node
     values are unimodal, and quasi-convex exactly when anti-unimodal, so
     this finite test decides the full segment definition.  The witness, if
-    any, is the deepest offending node with its nearest adequate flanks."""
-    level_flags: list[bool] = []
+    any, is the deepest offending node of the first failing level and
+    channel, with its nearest adequate flanks."""
+    signed = ms.values * CHANNEL_SIGNS
+    deficit, _ = _dips(signed)
+    bad = deficit > TOL_CMP
+    level_bad = bad.any(axis=(0, 2))
     witness: Witness | None = None
-    for level in range(1, ms.depth + 1):
-        level_ok = True
-        for channel in ("positive", "neutral"):
-            dip = _worst_dip(ms.channel_nodes(channel, level), TOL_CMP)
-            if dip is not None:
-                level_ok = False
-                if witness is None:
-                    _, left, mid, right, _ = dip
-                    witness = _node_witness(
-                        ms, channel, level, left, mid, right, upper=False
-                    )
-        neg = [-v for v in ms.channel_nodes("negative", level)]
-        bump = _worst_dip(neg, TOL_CMP)
-        if bump is not None:
-            level_ok = False
-            if witness is None:
-                _, left, mid, right, _ = bump
-                witness = _node_witness(
-                    ms, "negative", level, left, mid, right, upper=True
-                )
-        level_flags.append(level_ok)
-    convex = all(level_flags)
-    return ConvexityReport(convex=convex, levels=tuple(level_flags), witness=witness)
+    if level_bad.any():
+        k = int(level_bad.argmax())
+        c = int(bad[:, k].any(axis=0).argmax())
+        witness = _node_witness(ms, k, c, *_worst_dip(signed[:, k, c], TOL_CMP))
+    levels = tuple((~level_bad).tolist())
+    return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
 
 
 def is_convex_sampled(
@@ -281,8 +260,12 @@ def is_convex_sampled(
     least 3).  Any witness found violates the exact definition beyond
     TOL_CMP on re-evaluation.  With pair_samples = 0 the result is
     vacuously convex and flagged as such."""
-    if pair_samples < 0 or lambda_samples < 1:
-        raise PfmsError("sample counts must be nonnegative")
+    for name, count, least in (
+        ("pair_samples", pair_samples, 0),
+        ("lambda_samples", lambda_samples, 1),
+    ):
+        if not isinstance(count, int) or isinstance(count, bool) or count < least:
+            raise PfmsError(f"{name} must be an integer >= {least}, got {count!r}")
     if pair_samples == 0:
         return ConvexityReport(
             convex=True, levels=(True,) * ms.depth, vacuous=True
@@ -335,34 +318,29 @@ def is_convex_sampled(
 # cuts
 
 
-def _upper_region(
-    xs: Sequence[float], vs: Sequence[float], threshold: float
-) -> list[tuple[float, float]]:
-    """Exact {x : channel(x) >= threshold} for one piecewise-linear channel."""
+def _upper_region(xs: np.ndarray, vs: np.ndarray, threshold: float) -> CutRegion:
+    """Exact {x : channel(x) >= threshold} for one piecewise-linear channel
+    with node coordinates ``xs`` and node values ``vs``."""
+    inside = vs >= threshold
     if len(xs) == 1:
-        return [(xs[0], xs[0])] if vs[0] >= threshold else []
-    pieces: list[tuple[float, float]] = []
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        v0, v1 = vs[i], vs[i + 1]
-        in0, in1 = v0 >= threshold, v1 >= threshold
-        if in0 and in1:
-            pieces.append((x0, x1))
-            continue
-        if in0 or in1:
-            # The true crossing lies inside the segment; clamp away any
-            # floating-point overshoot past the endpoints.
-            xc = x0 + (threshold - v0) / (v1 - v0) * (x1 - x0)
-            xc = min(max(xc, x0), x1)
-            pieces.append((x0, xc) if in0 else (xc, x1))
-        # a linear segment below the threshold at both ends stays below
-    return pieces
-
-
-def _lower_region(
-    xs: Sequence[float], vs: Sequence[float], threshold: float
-) -> list[tuple[float, float]]:
-    return _upper_region(xs, [-v for v in vs], -threshold)
+        return CutRegion(((xs[0], xs[0]),) if inside[0] else ())
+    seg = np.flatnonzero(inside[:-1] | inside[1:])  # segments that meet the region
+    if not seg.size:
+        return CutRegion(())
+    in0, in1 = inside[seg], inside[seg + 1]
+    x0, x1, v0, v1 = xs[seg], xs[seg + 1], vs[seg], vs[seg + 1]
+    # Crossings are clamped into their segment (ties keep the crossing, as
+    # max and min do); segments without one divide by 1, unused.
+    xc = x0 + (threshold - v0) / np.where(in0 != in1, v1 - v0, 1.0) * (x1 - x0)
+    xc = np.where(x0 > xc, x0, xc)
+    xc = np.where(x1 < xc, x1, xc)
+    starts, ends = np.where(in0, x0, xc), np.where(in1, x1, xc)
+    # Pieces are sorted with nondecreasing ends; touching ones merge, and a
+    # merged end is the first end equal to the last, as max would keep it.
+    first = np.concatenate(([True], starts[1:] > ends[:-1]))
+    last = np.concatenate((first[1:], [True]))
+    merged_ends = ends[np.searchsorted(ends, ends[last])]
+    return CutRegion(tuple(zip(starts[first].tolist(), merged_ends.tolist())))
 
 
 def cut(
@@ -378,21 +356,12 @@ def cut(
     endpoints solved per segment."""
     if not isinstance(thresholds, CutThresholds):
         thresholds = CutThresholds(*thresholds)
-    xs = ms.grid.points
-    region = CutRegion(
-        tuple(_upper_region(xs, ms.channel_nodes("positive", level), thresholds.r))
-    )
-    region = region.intersect(
-        CutRegion(
-            tuple(_upper_region(xs, ms.channel_nodes("neutral", level), thresholds.s))
-        )
-    )
-    region = region.intersect(
-        CutRegion(
-            tuple(_lower_region(xs, ms.channel_nodes("negative", level), thresholds.t))
-        )
-    )
-    return region
+    k = ms.level_index(level)
+    xs = np.array(ms.grid.points)
+    signed = ms.values[:, k] * CHANNEL_SIGNS
+    region = _upper_region(xs, signed[:, 0], thresholds.r)
+    region = region.intersect(_upper_region(xs, signed[:, 1], thresholds.s))
+    return region.intersect(_upper_region(xs, signed[:, 2], -thresholds.t))
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +412,26 @@ def jensen_check(
 # hulls
 
 
-def unimodal_majorant(values: Sequence[float]) -> tuple[float, ...]:
-    """Least unimodal sequence dominating ``values`` pointwise.
+def _majorant(values: np.ndarray) -> np.ndarray:
+    """Least unimodal majorant along axis 0.
 
     At each index, any unimodal majorant must reach the running maximum
     from whichever side its peak lies on, so the pointwise least one is
-    the smaller of the two running maxima."""
-    n = len(values)
-    left = list(values)
-    for i in range(1, n):
-        if left[i - 1] > left[i]:
-            left[i] = left[i - 1]
-    right = list(values)
-    for i in range(n - 2, -1, -1):
-        if right[i + 1] > right[i]:
-            right[i] = right[i + 1]
-    return tuple(min(a, b) for a, b in zip(left, right))
+    the smaller of the two running maxima.  On ties (0.0 against -0.0) the
+    running maxima keep the current value and the minimum the left one."""
+    left = np.maximum.accumulate(values, axis=0)
+    right = np.maximum.accumulate(values[::-1], axis=0)[::-1]
+    return np.where(right < left, right, left)
+
+
+def unimodal_majorant(values: Sequence[float]) -> tuple[float, ...]:
+    """Least unimodal sequence dominating ``values`` pointwise."""
+    return tuple(_majorant(np.asarray(values, dtype=np.float64)).tolist())
 
 
 def antiunimodal_minorant(values: Sequence[float]) -> tuple[float, ...]:
     """Greatest anti-unimodal sequence dominated by ``values`` pointwise."""
-    return tuple(-v for v in unimodal_majorant([-v for v in values]))
+    return tuple((-_majorant(-np.asarray(values, dtype=np.float64))).tolist())
 
 
 def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
@@ -474,17 +442,8 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
     flagged invalid rather than repaired."""
-    return GradeField.from_envelopes(
-        ms.grid,
-        [
-            (
-                unimodal_majorant(ms.channel_nodes("positive", level)),
-                unimodal_majorant(ms.channel_nodes("neutral", level)),
-                antiunimodal_minorant(ms.channel_nodes("negative", level)),
-            )
-            for level in range(1, ms.depth + 1)
-        ],
-    )
+    signed = ms.values * CHANNEL_SIGNS
+    return GradeField.from_envelopes(ms.grid, _majorant(signed) * CHANNEL_SIGNS)
 
 
 def hull_membership_test(

@@ -8,6 +8,11 @@ nonincreasing across levels at each point.  Between grid points every
 channel extends by linear interpolation, so all derived quantities stay
 piecewise linear and can be computed exactly.
 
+An instance keeps its grades in one read-only (points, levels, 3) float64
+array, checked in one vectorised pass with the float expressions of the
+scalar GradeTriple and GradeSequence checks; those re-run on the first
+bad point to raise their error.  Point queries return GradeTriple.
+
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
 rounding, never to mask modelling errors.
@@ -17,14 +22,19 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import Iterator, Sequence
+
+import numpy as np
 
 TOL_SUM = 1e-9   # slack on the positive+neutral+negative <= 1 constraint
 TOL_CMP = 1e-9   # slack on order comparisons in checks
 TOL_X = 1e-12    # duplicate detection and boundary slack for coordinates
 
 CHANNELS = ("positive", "neutral", "negative")
+# Multiplying by these signs makes "better" mean "larger" on every channel.
+CHANNEL_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 class PfmsError(Exception):
@@ -95,9 +105,13 @@ class GradeTriple:
     negative: float
 
     def __post_init__(self) -> None:
-        for name in CHANNELS:
-            object.__setattr__(self, name, check_unit(getattr(self, name), name))
-        total = self.positive + self.neutral + self.negative
+        p = check_unit(self.positive, "positive")
+        n = check_unit(self.neutral, "neutral")
+        g = check_unit(self.negative, "negative")
+        object.__setattr__(self, "positive", p)
+        object.__setattr__(self, "neutral", n)
+        object.__setattr__(self, "negative", g)
+        total = p + n + g
         if total > 1.0 + TOL_SUM:
             raise SumExceedsOne(
                 f"positive+neutral+negative = {total!r} exceeds 1"
@@ -115,9 +129,14 @@ class GradeTriple:
         return (self.positive, self.neutral, self.negative)
 
     def channel(self, name: str) -> float:
-        if name not in CHANNELS:
-            raise PfmsError(f"unknown channel {name!r}")
-        return getattr(self, name)
+        return self.as_tuple()[channel_index(name)]
+
+
+def channel_index(name: str) -> int:
+    """Position of a channel in a triple: 0 positive, 1 neutral, 2 negative."""
+    if name not in CHANNELS:
+        raise PfmsError(f"unknown channel {name!r}")
+    return CHANNELS.index(name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,13 +186,12 @@ class DomainGrid:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(x) for x in self.points)
+        pts = tuple(map(float, self.points))
         object.__setattr__(self, "points", pts)
         if not pts:
             raise InvalidGrid("a grid needs at least one coordinate")
-        for x in pts:
-            if not math.isfinite(x):
-                raise InvalidGrid(f"grid coordinate {x!r} is not finite")
+        for x in filterfalse(math.isfinite, pts):
+            raise InvalidGrid(f"grid coordinate {x!r} is not finite")
         for a, b in zip(pts, pts[1:]):
             if b - a <= TOL_X:
                 raise InvalidGrid(
@@ -221,34 +239,101 @@ class DomainGrid:
         return i - 1, (x - self.points[i - 1]) / (self.points[i] - self.points[i - 1])
 
 
-@dataclass(frozen=True, slots=True)
+def _point_grades(per_point) -> GradeSequence:
+    """Scalar check of one point's levels: raises the scalar error."""
+    if isinstance(per_point, GradeSequence):
+        return per_point
+    if isinstance(per_point, np.ndarray):
+        per_point = per_point.tolist()
+    return GradeSequence(tuple(GradeTriple(*level) for level in per_point))
+
+
+def real_array(values) -> np.ndarray | None:
+    """Fresh C-ordered (m, depth, 3) float64 copy of ``values`` if it holds
+    only numbers check_unit accepts, else None.  Types are scanned first,
+    as numpy would turn True into 1.0 and "0.5" into 0.5."""
+    if isinstance(values, np.ndarray):
+        ok = values.dtype == np.float64 and values.ndim == 3 and values.shape[2] == 3
+        return np.array(values, order="C") if ok and values.size else None
+    try:
+        levels = list(chain.from_iterable(values))
+        depths, kinds = set(map(len, values)), set(map(type, chain.from_iterable(levels)))
+        if len(depths) == 1 and 0 not in depths and set(map(len, levels)) == {3} and all(
+            issubclass(t, (int, float)) and t is not bool for t in kinds
+        ):
+            flat = np.fromiter(chain.from_iterable(levels), np.float64, 3 * len(levels))
+            return flat.reshape(len(values), -1, 3)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def first_invalid_point(arr: np.ndarray) -> int:
+    """Index of the first point of an (m, depth, 3) array that fails the
+    range, sum or level-order check, or m when none does.  The float
+    expressions are those of check_unit, GradeTriple and GradeSequence."""
+    in_range = (arr >= -TOL_CMP) & (arr <= 1.0 + TOL_CMP)  # NaN is out
+    end = len(arr) if in_range.all() else int(in_range.all(axis=(1, 2)).argmin())
+    head = arr[:end]  # finite, so the sums below cannot overflow
+    pos = head[..., 0]
+    bad = (pos + head[..., 1]) + head[..., 2] > 1.0 + TOL_SUM
+    bad[:, 1:] |= pos[:, 1:] > pos[:, :-1] + TOL_CMP
+    bad = bad.any(axis=1)
+    return int(bad.argmax()) if bad.any() else end
+
+
+def _grade_array(values, size: int) -> np.ndarray:
+    """Validated read-only array of ``values`` (an array, nested numbers or
+    GradeSequence objects), raising what per-point construction would."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        values = tuple(values)
+    arr = real_array(values)
+    bad = 0 if arr is None else first_invalid_point(arr)
+    # raises at the first bad point; runs over all points only if arr is None
+    grades = [_point_grades(per_point) for per_point in values[bad:]]
+    if len(values) != size:
+        raise LengthMismatch(f"{size} grid points but {len(values)} grade sequences")
+    if arr is None:
+        depths = {seq.depth for seq in grades}
+        if len(depths) > 1:
+            raise RaggedDepth(f"level counts differ across points: {sorted(depths)}")
+        arr = np.array([[t.as_tuple() for t in seq] for seq in grades], dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class PictureFuzzyMultiset:
     """A picture fuzzy multiset: one grade sequence per grid point.
 
-    All points carry the same number of levels.  Evaluation between grid
-    points interpolates each channel linearly and reproduces stored
-    triples exactly at the nodes.
-    """
+    ``values[i, k]`` is the triple at point i and level k + 1; the
+    constructor also takes nested numbers or GradeSequence objects.
+    Evaluation between grid points interpolates each channel linearly and
+    reproduces stored triples exactly at the nodes."""
 
     grid: DomainGrid
-    grades: tuple[GradeSequence, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        grades = tuple(self.grades)
-        object.__setattr__(self, "grades", grades)
-        if len(grades) != len(self.grid):
-            raise LengthMismatch(
-                f"{len(self.grid)} grid points but {len(grades)} grade sequences"
-            )
-        depths = {seq.depth for seq in grades}
-        if len(depths) > 1:
-            raise RaggedDepth(
-                f"level counts differ across points: {sorted(depths)}"
-            )
+        object.__setattr__(self, "values", _grade_array(self.values, len(self.grid)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PictureFuzzyMultiset):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        # float hashing, unlike the raw bytes, equates 0.0 with -0.0 as == does
+        return hash((self.grid, self.values.shape, tuple(self.values.ravel().tolist())))
+
+    @property
+    def grades(self) -> tuple[GradeSequence, ...]:
+        """Scalar view built on demand: one GradeSequence per point."""
+        return tuple(map(_point_grades, self.values.tolist()))
 
     @property
     def depth(self) -> int:
-        return self.grades[0].depth
+        return self.values.shape[1]
 
     @property
     def size(self) -> int:
@@ -264,40 +349,33 @@ class PictureFuzzyMultiset:
     def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
         """Node values of one channel at one level, in grid order."""
         k = self.level_index(level)
-        return tuple(seq[k].channel(channel) for seq in self.grades)
+        return tuple(self.values[:, k, channel_index(channel)].tolist())
 
     def evaluate(self, x: float, level: int) -> GradeTriple:
         """Interpolated triple at coordinate ``x`` on a 1-based level."""
         k = self.level_index(level)
         i, t = self.grid.locate(x)
         if t is None:
-            return self.grades[i][k]
-        a = self.grades[i][k]
-        b = self.grades[i + 1][k]
-        return GradeTriple(
-            (1.0 - t) * a.positive + t * b.positive,
-            (1.0 - t) * a.neutral + t * b.neutral,
-            (1.0 - t) * a.negative + t * b.negative,
-        )
+            return GradeTriple(*self.values[i, k].tolist())
+        (p0, n0, g0), (p1, n1, g1) = self.values[i : i + 2, k].tolist()
+        s = 1.0 - t
+        return GradeTriple(s * p0 + t * p1, s * n0 + t * n1, s * g0 + t * g1)
 
 
 def multiset_from_values(
     points: Sequence[float],
-    values: Sequence[Sequence[Sequence[float]]],
+    values: Sequence[Sequence[Sequence[float]]] | np.ndarray,
 ) -> PictureFuzzyMultiset:
-    """Build a multiset from raw nested floats: values[point][level] is a
-    (positive, neutral, negative) triple."""
-    grades = tuple(
-        GradeSequence(tuple(GradeTriple(*level) for level in per_point))
-        for per_point in values
-    )
-    return PictureFuzzyMultiset(DomainGrid(tuple(points)), grades)
-
-
-def values_from_multiset(ms: PictureFuzzyMultiset) -> list[list[list[float]]]:
-    """Fresh nested lists values[point][level] = [positive, neutral,
-    negative]; the inverse of multiset_from_values."""
-    return [[list(t.as_tuple()) for t in seq] for seq in ms.grades]
+    """Build a multiset from raw floats: values[point][level] is a
+    (positive, neutral, negative) triple, as nested sequences or as an
+    (m, depth, 3) float64 array."""
+    try:
+        grid = DomainGrid(tuple(points))
+    except PfmsError:
+        for per_point in values:  # a bad grade is reported before a bad grid
+            _point_grades(per_point)
+        raise
+    return PictureFuzzyMultiset(grid, values)
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,10 @@ An instance file is a single JSON object:
 are rejected.  Numbers are emitted with shortest round-tripping decimal
 representations (at most 17 significant digits), so parse(emit(ms))
 reproduces every float bit for bit.
+
+Parsing is ``json.loads`` plus one vectorised check of ``elements``; a bad
+table is re-checked entry by entry from its first bad entry, so errors
+carry paths such as ``elements[i][k][j]``.  Emitting is ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .core import (
     GradeTriple,
     PfmsError,
     PictureFuzzyMultiset,
-    values_from_multiset,
+    first_invalid_point,
+    real_array,
 )
 
 FORMAT_VERSION = "1"
@@ -97,8 +102,11 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     except PfmsError as exc:
         raise type(exc)(f"domain: {exc}") from None
 
-    grades = []
-    for i, entry in enumerate(elements):
+    values = real_array(elements)
+    regular = values is not None and values.shape[1] == depth
+    bad = first_invalid_point(values) if regular else 0
+    for i in range(bad, len(elements)):  # raises at the first bad entry
+        entry = elements[i]
         if not isinstance(entry, list) or len(entry) != depth:
             raise SchemaError(
                 f"elements[{i}]", f"expected an array of {depth} triples"
@@ -114,14 +122,10 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
             except PfmsError as exc:
                 raise type(exc)(f"{path}: {exc}") from None
         try:
-            grades.append(GradeSequence(tuple(levels)))
+            GradeSequence(tuple(levels))
         except PfmsError as exc:
             raise type(exc)(f"elements[{i}]: {exc}") from None
-
-    try:
-        return PictureFuzzyMultiset(grid, tuple(grades))
-    except PfmsError as exc:
-        raise type(exc)(f"elements: {exc}") from None
+    return PictureFuzzyMultiset(grid, values)
 
 
 def parse_instance(text: str) -> PictureFuzzyMultiset:
@@ -141,7 +145,7 @@ def instance_document(ms: PictureFuzzyMultiset) -> dict:
         "format_version": FORMAT_VERSION,
         "domain": list(ms.grid.points),
         "depth": ms.depth,
-        "elements": values_from_multiset(ms),
+        "elements": ms.values.tolist(),
     }
 
 

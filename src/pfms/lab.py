@@ -30,13 +30,10 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     multiset_from_values,
-    values_from_multiset,
 )
 from .algebra import complement, convex_combination, equals, intersection, union
 from .convexity import (
     GradeField,
-    _lower_region,
-    _upper_region,
     convex_hull,
     hull_membership_test,
     is_convex_exact,
@@ -61,6 +58,7 @@ class UnknownSuite(PfmsError):
 
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
 _MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
+_MAX_ORACLE_CELLS = 4_000_000  # resolution**2 * lambda_resolution the oracle allocates
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,44 +138,30 @@ def _lattice_valley(rng: random.Random, m: int, step: float, cap: float) -> list
 # value tables, indexed [point][level] -> [positive, neutral, negative]
 
 
-def _convex_values(rng: random.Random, m: int, depth: int) -> list[list[list[float]]]:
+def _convex_values(rng: random.Random, m: int, depth: int) -> np.ndarray:
     # One positive-channel shape scaled by nonincreasing level multipliers
     # keeps both the per-level unimodality and the cross-level order; the
     # free channels get fresh profiles per level.
     base = _ramp_profile(rng, m, 1.0)
     mults = sorted((rng.uniform(0.3, 1.0) for _ in range(depth)), reverse=True)
-    pos = [[mult * v for v in base] for mult in mults]
     neu = [_ramp_profile(rng, m, rng.uniform(0.2, 1.0)) for _ in range(depth)]
     neg = [_valley_profile(rng, m, rng.uniform(0.2, 1.0)) for _ in range(depth)]
-    worst = max(
-        pos[k][i] + neu[k][i] + neg[k][i]
-        for k in range(depth)
-        for i in range(m)
-    )
-    if worst > 1.0:
-        # One global factor: per-node factors would bend the shapes.
-        f = 1.0 / worst
-        pos = [[v * f for v in row] for row in pos]
-        neu = [[v * f for v in row] for row in neu]
-        neg = [[v * f for v in row] for row in neg]
-    return [
-        [[pos[k][i], neu[k][i], neg[k][i]] for k in range(depth)]
-        for i in range(m)
-    ]
+    values = np.stack([np.outer(base, mults), np.transpose(neu), np.transpose(neg)], -1)
+    worst = ((values[..., 0] + values[..., 1]) + values[..., 2]).max()
+    # One global factor: per-node factors would bend the shapes.
+    return values * (1.0 / worst) if worst > 1.0 else values
 
 
 def _convex_lattice_values(
     rng: random.Random, m: int, depth: int, step: float
-) -> list[list[list[float]]]:
+) -> np.ndarray:
     # Channel caps 0.5/0.3/0.2 keep every node sum at or below one without
     # any rescaling, so the values stay exact lattice multiples.
     pos = _lattice_ramp(rng, m, step, 0.5)
     neu = [_lattice_ramp(rng, m, step, 0.3) for _ in range(depth)]
     neg = [_lattice_valley(rng, m, step, 0.2) for _ in range(depth)]
-    return [
-        [[pos[i], neu[k][i], neg[k][i]] for k in range(depth)]
-        for i in range(m)
-    ]
+    pos = np.broadcast_to(np.array(pos)[:, None], (m, depth))
+    return np.stack([pos, np.transpose(neu), np.transpose(neg)], -1)
 
 
 def _random_values(rng: random.Random, m: int, depth: int) -> list[list[list[float]]]:
@@ -263,7 +247,7 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
     channel = rng.choice(CHANNELS)
     node = rng.randrange(1, ms.size - 1)
     level = ms.depth - 1 if channel == "positive" else rng.randrange(ms.depth)
-    raw = values_from_multiset(ms)
+    raw = ms.values.tolist()
 
     if channel == "positive":
         for j in (node - 1, node + 1):
@@ -298,7 +282,7 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
         for j in (node - 1, node + 1):
             raw[j][level][2] = 0.0
 
-    return multiset_from_values(ms.grid.points, raw)
+    return PictureFuzzyMultiset(ms.grid, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +301,8 @@ def oracle_convexity(
     numpy's interpolation rather than the package evaluator."""
     if resolution < 2 or lambda_resolution < 1:
         raise BadConfig("oracle needs resolution >= 2 and lambda_resolution >= 1")
+    if resolution * resolution * lambda_resolution > _MAX_ORACLE_CELLS:
+        raise TooLarge(f"oracle lattice exceeds {_MAX_ORACLE_CELLS} points")
     if ms.size == 1:
         return True
     xs = np.asarray(ms.grid.points)
@@ -353,6 +339,27 @@ def oracle_convexity(
     return True
 
 
+def _upper_region(
+    xs: Sequence[float], vs: Sequence[float], threshold: float
+) -> list[tuple[float, float]]:
+    """Pieces of {x : channel(x) >= threshold}, solved segment by segment."""
+    if len(xs) == 1:
+        return [(xs[0], xs[0])] if vs[0] >= threshold else []
+    pieces: list[tuple[float, float]] = []
+    for i in range(len(xs) - 1):
+        x0, x1 = xs[i], xs[i + 1]
+        v0, v1 = vs[i], vs[i + 1]
+        in0, in1 = v0 >= threshold, v1 >= threshold
+        if in0 and in1:
+            pieces.append((x0, x1))
+            continue
+        if in0 or in1:
+            xc = x0 + (threshold - v0) / (v1 - v0) * (x1 - x0)
+            xc = min(max(xc, x0), x1)
+            pieces.append((x0, xc) if in0 else (xc, x1))
+    return pieces
+
+
 @dataclass(frozen=True, slots=True)
 class CutWitness:
     """Thresholds and level whose cut fell apart into several intervals."""
@@ -386,15 +393,16 @@ def cuts_all_convex(ms: PictureFuzzyMultiset) -> CutConvexityReport:
         )
     xs = ms.grid.points
     for level in range(1, ms.depth + 1):
-        scans = (
-            ("positive", _upper_region, lambda v: CutThresholds(v, 0.0, 1.0)),
-            ("neutral", _upper_region, lambda v: CutThresholds(0.0, v, 1.0)),
-            ("negative", _lower_region, lambda v: CutThresholds(0.0, 0.0, v)),
+        scans = (  # the negative channel's lower cuts are upper cuts of -v
+            ("positive", 1.0, lambda v: CutThresholds(v, 0.0, 1.0)),
+            ("neutral", 1.0, lambda v: CutThresholds(0.0, v, 1.0)),
+            ("negative", -1.0, lambda v: CutThresholds(0.0, 0.0, v)),
         )
-        for channel, solver, to_thresholds in scans:
+        for channel, sign, to_thresholds in scans:
             nodes = ms.channel_nodes(channel, level)
+            signed = [sign * v for v in nodes]
             for value in sorted(set(nodes) | {0.0, 1.0}):
-                region = CutRegion(tuple(solver(xs, nodes, value)))
+                region = CutRegion(tuple(_upper_region(xs, signed, sign * value)))
                 if not region.is_convex:
                     return CutConvexityReport(
                         convex=False,
@@ -495,7 +503,8 @@ def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
         )
         neg = tuple(-v for v in neg_mirror)
         per_level.append((pos, neu, neg))
-    return GradeField.from_envelopes(ms.grid, per_level)
+    # per_level is indexed [level][channel][node]
+    return GradeField.from_envelopes(ms.grid, np.transpose(per_level, (2, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +512,12 @@ def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
 
 
 def _drop_level(ms: PictureFuzzyMultiset, k: int) -> PictureFuzzyMultiset:
-    values = values_from_multiset(ms)
-    for per_point in values:
-        del per_point[k]
-    return multiset_from_values(ms.grid.points, values)
+    return PictureFuzzyMultiset(ms.grid, np.delete(ms.values, k, axis=1))
 
 
 def _drop_node(ms: PictureFuzzyMultiset, i: int) -> PictureFuzzyMultiset:
     points = [x for j, x in enumerate(ms.grid.points) if j != i]
-    values = values_from_multiset(ms)
-    del values[i]
-    return multiset_from_values(points, values)
+    return multiset_from_values(points, np.delete(ms.values, i, axis=0))
 
 
 def shrink_instance(
@@ -655,8 +659,7 @@ def _convex_like(
     ms: PictureFuzzyMultiset, rng: random.Random
 ) -> PictureFuzzyMultiset:
     """A fresh convex instance on an existing grid."""
-    values = _convex_values(rng, ms.size, ms.depth)
-    return multiset_from_values(ms.grid.points, values)
+    return PictureFuzzyMultiset(ms.grid, _convex_values(rng, ms.size, ms.depth))
 
 
 def _suite_intersection_closure(trials: int, seed: int, record) -> None:
@@ -808,7 +811,7 @@ def _suite_hull_properties(trials: int, seed: int, record) -> None:
             ms = gen_pfms(cfg)
             field = convex_hull(ms)
             brute = oracle_hull(ms, 0.05)
-            if field.values != brute.values or field.valid != brute.valid:
+            if field != brute:
                 record(
                     {
                         "trial": idx,
@@ -827,12 +830,7 @@ def _suite_hull_properties(trials: int, seed: int, record) -> None:
             )
             ms = gen_pfms(cfg)
             field = convex_hull(ms)
-            same = all(
-                field.values[i][k] == ms.grades[i][k].as_tuple()
-                for i in range(ms.size)
-                for k in range(ms.depth)
-            )
-            if not same:
+            if not np.array_equal(field.values, ms.values):
                 record(
                     {
                         "trial": idx,
@@ -932,13 +930,12 @@ def _suite_hull_theorem_discrepancy(trials: int, seed: int, record) -> None:
 
 
 def _level_slice(ms: PictureFuzzyMultiset, level: int) -> PictureFuzzyMultiset:
-    values = [[per_point[level - 1]] for per_point in values_from_multiset(ms)]
-    return multiset_from_values(ms.grid.points, values)
+    return PictureFuzzyMultiset(ms.grid, ms.values[:, level - 1 : level])
 
 
 def _level_multisets_equal(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> bool:
-    for sa, sb in zip(a.grades, b.grades):
-        if sorted(t.as_tuple() for t in sa) != sorted(t.as_tuple() for t in sb):
+    for sa, sb in zip(a.values.tolist(), b.values.tolist()):
+        if sorted(sa) != sorted(sb):
             return False
     return True
 
@@ -949,12 +946,8 @@ def _suite_algebra_laws(trials: int, seed: int, record) -> None:
         cfg = GeneratorConfig(seed=sub, grid_size=2 + idx % 4, depth=1 + idx % 2)
         a = gen_pfms(cfg)
         rng = random.Random(sub ^ 0x85EBCA6B)
-        b = multiset_from_values(
-            a.grid.points, _random_values(rng, a.size, a.depth)
-        )
-        c = multiset_from_values(
-            a.grid.points, _random_values(rng, a.size, a.depth)
-        )
+        b = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
+        c = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
         lam = rng.random()
         problems: list[str] = []
         if union(a, b) != union(b, a):

@@ -11,6 +11,8 @@ from pfms import (
     WeightVector,
     complement,
     convex_combination,
+    convex_hull,
+    emit_instance,
     equals,
     includes,
     intersection,
@@ -274,3 +276,72 @@ class TestPccPoints:
             ]
             out = pcc_points(triples, weights)
             assert out.positive + out.neutral + out.negative <= 1.0 + 1e-9
+
+
+class TestSignedZeroTies:
+    """Ties between 0.0 and -0.0 keep the operand that Python's max and
+    min keep (the first), so emitted text does not depend on the kernel.
+    The expected strings were recorded with the per-triple implementation."""
+
+    @staticmethod
+    def pair():
+        levels = [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[-0.0, 0.5, -0.0], [-0.0, -0.0, 0.5]],
+            [[0.5, -0.0, 0.0], [0.0, 0.25, -0.0]],
+        ]
+        flipped = [[[-v if v == 0.0 else v for v in t] for t in node] for node in levels]
+        grid = (0.0, 1.0, 2.0)
+        return multiset_from_values(grid, levels), multiset_from_values(grid, flipped)
+
+    HEAD = '{"format_version":"1","domain":[0.0,1.0,2.0],"depth":2,"elements":'
+    A_FIRST = HEAD + (
+        "[[[0.0,0.0,0.0],[0.0,0.0,0.0]],[[-0.0,0.5,-0.0],[-0.0,-0.0,0.5]],"
+        "[[0.5,-0.0,0.0],[0.0,0.25,-0.0]]]}"
+    )
+    B_FIRST = HEAD + (
+        "[[[-0.0,-0.0,-0.0],[-0.0,-0.0,-0.0]],[[0.0,0.5,0.0],[0.0,0.0,0.5]],"
+        "[[0.5,0.0,-0.0],[-0.0,0.25,0.0]]]}"
+    )
+    BLEND = HEAD + (
+        "[[[0.0,0.0,0.0],[0.0,0.0,0.0]],[[0.0,0.5,0.0],[0.0,0.0,0.5]],"
+        "[[0.5,0.0,0.0],[0.0,0.25,0.0]]]}"
+    )
+
+    def test_union_and_intersection_keep_the_first_operand(self):
+        a, b = self.pair()
+        assert emit_instance(union(a, b)) == self.A_FIRST
+        assert emit_instance(union(b, a)) == self.B_FIRST
+        assert emit_instance(intersection(a, b)) == self.A_FIRST
+        assert emit_instance(intersection(b, a)) == self.B_FIRST
+
+    def test_complement_text(self):
+        a, b = self.pair()
+        assert emit_instance(complement(a)) == self.HEAD + (
+            "[[[0.0,0.0,0.0],[0.0,0.0,0.0]],[[0.5,-0.0,-0.0],[-0.0,0.5,-0.0]],"
+            "[[-0.0,0.25,0.0],[0.0,-0.0,0.5]]]}"
+        )
+        assert emit_instance(complement(b)) == self.HEAD + (
+            "[[[-0.0,-0.0,-0.0],[-0.0,-0.0,-0.0]],[[0.5,0.0,0.0],[0.0,0.5,0.0]],"
+            "[[0.0,0.25,-0.0],[-0.0,0.0,0.5]]]}"
+        )
+
+    def test_convex_combination_text(self):
+        a, b = self.pair()
+        assert emit_instance(convex_combination(a, b, 0.5)) == self.BLEND
+        assert emit_instance(convex_combination(a, b, 1.0)) == self.BLEND
+        assert emit_instance(convex_combination(b, a, 0.0)) == self.BLEND
+
+    def test_hull_bits(self):
+        a, b = self.pair()
+        zero, neg, half, quarter = "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p-2"
+        expected_a = [
+            zero, zero, zero, zero, zero, zero,
+            neg, half, neg, neg, neg, zero,
+            half, neg, zero, zero, quarter, neg,
+        ]
+        flip = {zero: neg, neg: zero, half: half, quarter: quarter}
+        for ms, expected in ((a, expected_a), (b, [flip[h] for h in expected_a])):
+            values = convex_hull(ms).values
+            got = [float(v).hex() for node in values for t in node for v in t]
+            assert got == expected

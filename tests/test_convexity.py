@@ -4,6 +4,7 @@ from pfms import (
     BadLevel,
     CutThresholds,
     OutOfDomain,
+    PfmsError,
     SumExceedsOne,
     WeightSumInvalid,
     antiunimodal_minorant,
@@ -135,6 +136,17 @@ class TestIsConvexSampled:
         report = is_convex_sampled(bimodal_ms, 0, 21, seed=0)
         assert report.convex and report.vacuous
 
+    def test_sample_counts_validated(self, convex_ms):
+        with pytest.raises(PfmsError, match="lambda_samples must be an integer >= 1"):
+            is_convex_sampled(convex_ms, 10, 0)
+        with pytest.raises(PfmsError, match="pair_samples must be an integer >= 0"):
+            is_convex_sampled(convex_ms, -1, 21)
+        for flag in (True, False):
+            with pytest.raises(PfmsError, match="pair_samples"):
+                is_convex_sampled(convex_ms, flag, 21)
+            with pytest.raises(PfmsError, match="lambda_samples"):
+                is_convex_sampled(convex_ms, 10, flag)
+
 
 class TestCut:
     def test_worked_example(self, convex_ms):
@@ -257,7 +269,7 @@ class TestConvexHull:
         field = convex_hull(convex_ms)
         assert field.fully_valid
         for i in range(convex_ms.size):
-            assert field.values[i][0] == convex_ms.grades[i][0].as_tuple()
+            assert tuple(field.values[i][0]) == convex_ms.grades[i][0].as_tuple()
 
     def test_bimodal_hull_frozen(self, bimodal_ms):
         field = convex_hull(bimodal_ms)

@@ -141,6 +141,14 @@ class TestOracleConvexity:
         with pytest.raises(BadConfig):
             oracle_convexity(convex_ms, 41, 0)
 
+    def test_lattice_size_refused_before_allocation(self, convex_ms):
+        # 10**5 squared times 21 cells would need terabytes; the check
+        # must fire before any array exists, so this returns at once
+        with pytest.raises(TooLarge, match="oracle lattice"):
+            oracle_convexity(convex_ms, 100_000, 21)
+        with pytest.raises(TooLarge):
+            oracle_convexity(convex_ms, 2_001, 1)
+
 
 class TestOracleHull:
     def test_frozen_positive_channel(self):
@@ -154,7 +162,7 @@ class TestOracleHull:
     def test_identity_on_well_shaped_channels(self, convex_ms):
         field = oracle_hull(convex_ms, 0.05)
         for i in range(convex_ms.size):
-            assert field.values[i][0] == convex_ms.grades[i][0].as_tuple()
+            assert tuple(field.values[i][0]) == convex_ms.grades[i][0].as_tuple()
 
     def test_agrees_with_envelope_construction(self):
         for seed in range(30):
