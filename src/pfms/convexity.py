@@ -13,6 +13,15 @@ The exact check and the hull envelopes take running maxima of the value
 array from both ends; cuts solve all segment crossings at once and
 intersect the three channel regions as interval unions.  Multiplying by
 CHANNEL_SIGNS makes the negative channel quasi-concave like the others.
+
+The sampled check draws its coordinate pairs from a seeded generator in
+blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
+points), evaluates a block on every level in one array pass with the
+float expressions of PictureFuzzyMultiset.evaluate, and compares all
+channels at once, so memory does not grow with the number of pairs.  Its
+report is the one a scalar loop over pairs, levels, lambdas and channels
+gives, witness and errors included.  Sample counts above
+_MAX_PAIR_SAMPLES or _MAX_LAMBDA_SAMPLES raise TooLarge.
 """
 
 from __future__ import annotations
@@ -37,9 +46,14 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     SumExceedsOne,
+    TooLarge,
     channel_index,
 )
 from .algebra import WeightVector
+
+_MAX_PAIR_SAMPLES = 1_000_000  # largest pair_samples is_convex_sampled accepts
+_MAX_LAMBDA_SAMPLES = 10_000  # largest lambda_samples it accepts
+_BLOCK_POINTS = 8_192  # coordinates per pair block of the sampled check
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,14 +272,17 @@ def is_convex_sampled(
     Draws coordinate pairs uniformly from the domain and sweeps a uniform
     lambda grid (which contains 0.5 whenever lambda_samples is odd and at
     least 3).  Any witness found violates the exact definition beyond
-    TOL_CMP on re-evaluation.  With pair_samples = 0 the result is
+    TOL_CMP on re-evaluation: it is the first violation by pair, then
+    level, lambda and channel.  With pair_samples = 0 the result is
     vacuously convex and flagged as such."""
-    for name, count, least in (
-        ("pair_samples", pair_samples, 0),
-        ("lambda_samples", lambda_samples, 1),
+    for name, count, least, most in (
+        ("pair_samples", pair_samples, 0, _MAX_PAIR_SAMPLES),
+        ("lambda_samples", lambda_samples, 1, _MAX_LAMBDA_SAMPLES),
     ):
         if not isinstance(count, int) or isinstance(count, bool) or count < least:
             raise PfmsError(f"{name} must be an integer >= {least}, got {count!r}")
+        if count > most:
+            raise TooLarge(f"{name} must be at most {most}, got {count}")
     if pair_samples == 0:
         return ConvexityReport(
             convex=True, levels=(True,) * ms.depth, vacuous=True
@@ -275,42 +292,47 @@ def is_convex_sampled(
         lams = [0.5]
     else:
         lams = [i / (lambda_samples - 1) for i in range(lambda_samples)]
+    lam = np.array(lams)
     lo, hi = ms.grid.lo, ms.grid.hi
-    level_flags = [True] * ms.depth
+    level_ok = np.ones(ms.depth, dtype=bool)
     witness: Witness | None = None
-    for _ in range(pair_samples):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        if y < x:
-            x, y = y, x
-        for level in range(1, ms.depth + 1):
-            gx = ms.evaluate(x, level)
-            gy = ms.evaluate(y, level)
-            for lam in lams:
-                z = (1.0 - lam) * x + lam * y
-                gz = ms.evaluate(z, level)
-                checks = (
-                    ("positive", gz.positive, min(gx.positive, gy.positive), False),
-                    ("neutral", gz.neutral, min(gx.neutral, gy.neutral), False),
-                    ("negative", gz.negative, max(gx.negative, gy.negative), True),
-                )
-                for channel, lhs, rhs, upper in checks:
-                    bad = lhs > rhs + TOL_CMP if upper else lhs < rhs - TOL_CMP
-                    if bad:
-                        level_flags[level - 1] = False
-                        if witness is None:
-                            witness = Witness(
-                                x=x,
-                                y=y,
-                                lam=lam,
-                                level=level,
-                                channel=channel,
-                                lhs=lhs,
-                                rhs=rhs,
-                            )
-    convex = all(level_flags)
+    block = max(1, _BLOCK_POINTS // (lambda_samples + 2))
+    for start in range(0, pair_samples, block):
+        n = min(block, pair_samples - start)
+        ends = np.array([rng.uniform(lo, hi) for _ in range(2 * n)]).reshape(n, 2)
+        swap = ends[:, 1] < ends[:, 0]
+        ends[swap] = ends[swap, ::-1]
+        x, y = ends[:, :1], ends[:, 1:]
+        # per pair the coordinates x, y, then one blend point per lambda in
+        # the scalar loop's float expression; a span that overflows gives
+        # non-finite ones, which evaluate rejects
+        with np.errstate(invalid="ignore", over="ignore"):
+            coords = np.concatenate((ends, (1.0 - lam) * x + lam * y), axis=1)
+        grades, ok = ms._evaluate_many(coords)
+        if not ok.all():
+            # the scalar order is pair, level, then x, y and the blend points
+            order = ok.transpose(0, 2, 1)
+            p, k, j = np.unravel_index(order.argmin(), order.shape)
+            ms.evaluate(float(coords[p, j]), int(k) + 1)  # raises its error
+        signed = grades * CHANNEL_SIGNS
+        # min(gx, gy) on the signed channels: max for the negative one
+        rhs = np.where(signed[:, 1] < signed[:, 0], signed[:, 1], signed[:, 0])
+        bad = signed[:, 2:] < rhs[:, None] - TOL_CMP
+        level_ok &= ~bad.any(axis=(0, 1, 3))
+        if witness is None and bad.any():
+            order = bad.transpose(0, 2, 1, 3)  # pair, level, lambda, channel
+            p, k, j, c = np.unravel_index(order.argmax(), order.shape)
+            witness = Witness(
+                x=float(ends[p, 0]),
+                y=float(ends[p, 1]),
+                lam=lams[j],
+                level=int(k) + 1,
+                channel=CHANNELS[c],
+                lhs=float(grades[p, j + 2, k, c]),
+                rhs=float(rhs[p, k, c] * CHANNEL_SIGNS[c]),
+            )
     return ConvexityReport(
-        convex=convex, levels=tuple(level_flags), witness=witness
+        convex=witness is None, levels=tuple(level_ok.tolist()), witness=witness
     )
 
 

@@ -77,6 +77,10 @@ class MalformedRegion(PfmsError):
     """An interval was given with its endpoints reversed or not finite."""
 
 
+class TooLarge(PfmsError):
+    """A size or count exceeds what the library will attempt."""
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
@@ -360,6 +364,32 @@ class PictureFuzzyMultiset:
         (p0, n0, g0), (p1, n1, g1) = self.values[i : i + 2, k].tolist()
         s = 1.0 - t
         return GradeTriple(s * p0 + t * p1, s * n0 + t * n1, s * g0 + t * g1)
+
+    def _evaluate_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What evaluate gives at every coordinate of a float64 array, on
+        every level.
+
+        Returns the triples, shape xs.shape + (depth, 3), with the bits
+        evaluate gives, and the bool array, shape xs.shape + (depth,), of
+        the evaluations that succeed: False where locate rejects the
+        coordinate or the triple fails a GradeTriple check.  The caller
+        re-runs evaluate on a failure to raise its error."""
+        pts = np.array(self.grid.points)
+        lo, hi = self.grid.lo, self.grid.hi
+        slack = TOL_X * max(1.0, abs(lo), abs(hi))
+        placed = (xs >= lo - slack) & (xs <= hi + slack)  # False for inf and NaN
+        x = np.clip(np.where(placed, xs, lo), lo, hi)
+        i = np.searchsorted(pts, x)  # bisect_left; i < m after clipping
+        node = (pts[i] == x)[..., None, None]
+        left = np.maximum(i - 1, 0)  # the segment's left end unless at a node
+        v0, v1 = self.values[left], self.values[i]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = ((x - pts[left]) / (pts[i] - pts[left]))[..., None, None]
+            grades = np.where(node, v1, (1.0 - t) * v0 + t * v1)
+            in_range = (grades >= -TOL_CMP) & (grades <= 1.0 + TOL_CMP)  # NaN is out
+            total = (grades[..., 0] + grades[..., 1]) + grades[..., 2]
+        ok = in_range.all(axis=-1) & (total <= 1.0 + TOL_SUM) & placed[..., None]
+        return grades, ok
 
 
 def multiset_from_values(

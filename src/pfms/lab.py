@@ -29,6 +29,7 @@ from .core import (
     CutThresholds,
     PfmsError,
     PictureFuzzyMultiset,
+    TooLarge,
     multiset_from_values,
 )
 from .algebra import complement, convex_combination, equals, intersection, union
@@ -48,10 +49,6 @@ class BadConfig(PfmsError):
     """A generator or oracle parameter is out of its supported range."""
 
 
-class TooLarge(PfmsError):
-    """The instance exceeds what the brute-force oracle will attempt."""
-
-
 class UnknownSuite(PfmsError):
     """No suite is registered under the requested name."""
 
@@ -59,6 +56,7 @@ class UnknownSuite(PfmsError):
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
 _MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
 _MAX_ORACLE_CELLS = 4_000_000  # resolution**2 * lambda_resolution the oracle allocates
+_MAX_TRIALS = 100_000  # largest trial count run_suite accepts
 
 
 @dataclass(frozen=True, slots=True)
@@ -1048,6 +1046,8 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
         )
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise BadConfig(f"trials must be a positive integer, got {trials!r}")
+    if trials > _MAX_TRIALS:
+        raise TooLarge(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     failures: list[dict] = []
     _SUITES[name](trials, seed, failures.append)
     return SuiteResult(

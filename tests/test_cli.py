@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,37 @@ SHIFTED_DOC = {
 }
 
 
+# level 1 neutral, level 2 positive and level 3 negative channels dip or bump
+DIP_DOC = {
+    "format_version": "1",
+    "domain": [0.0, 0.5, 1.25, 2.0, 3.0, 4.5],
+    "depth": 3,
+    "elements": [
+        [[0.3, 0.1, 0.4], [0.2, 0.1, 0.5], [0.1, 0.2, 0.3]],
+        [[0.5, 0.2, 0.2], [0.4, 0.1, 0.3], [0.3, 0.2, 0.2]],
+        [[0.7, 0.1, 0.1], [0.1, 0.2, 0.2], [0.1, 0.3, 0.5]],
+        [[0.6, 0.2, 0.1], [0.5, 0.1, 0.2], [0.4, 0.1, 0.1]],
+        [[0.4, 0.1, 0.3], [0.3, 0.1, 0.4], [0.2, 0.2, 0.3]],
+        [[0.2, 0.1, 0.5], [0.1, 0.1, 0.6], [0.1, 0.1, 0.6]],
+    ],
+}
+
+# A negative bump between a -0.0 flank and a 0.0 flank: Python's max keeps
+# the first of tied endpoints, so the witness prints rhs -0.0
+SIGNED_ZERO_DOC = {
+    "format_version": "1",
+    "domain": [-10.0, -1.0, -0.0, 1.0, 10.0],
+    "depth": 2,
+    "elements": [
+        [[0.3, 0.1, -0.0], [0.3, 0.1, 0.2]],
+        [[0.3, 0.1, -0.0], [-0.0, 0.1, 0.2]],
+        [[0.3, 0.1, 0.5], [-0.0, 0.1, 0.2]],
+        [[0.3, 0.1, 0.0], [0.2, 0.1, 0.2]],
+        [[0.3, 0.1, 0.0], [0.2, 0.1, 0.2]],
+    ],
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -53,6 +85,8 @@ def files(tmp_path):
         ("convex", CONVEX_DOC),
         ("bimodal", BIMODAL_DOC),
         ("shifted", SHIFTED_DOC),
+        ("dip", DIP_DOC),
+        ("signed-zero", SIGNED_ZERO_DOC),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -180,6 +214,46 @@ class TestCheckConvex:
         )
         assert code == 0
         assert json.loads(out)["convex"] is True
+
+
+# sha256 of the sampled check's stdout with default sample counts; the
+# README example is convex, so both seeds print the same report
+SAMPLED_STDOUT_DIGESTS = {
+    ("convex", "1"): "be15213abcab88f4dc4b3aa01085f3d93a4ae6af7b792ab51edfbd05a5f28823",
+    ("convex", "2"): "be15213abcab88f4dc4b3aa01085f3d93a4ae6af7b792ab51edfbd05a5f28823",
+    ("dip", "1"): "75a12e18f3322a16b7e9f0ea456fc1b6d1b38a41f1875676f4069b11a8a4f6fc",
+    ("dip", "2"): "2d857845a8b35407aba4b3d5d6a5228e185e8998cf9c99fb12dd37eee079ea12",
+    ("signed-zero", "1"): "649846bb7d03bc8f1336d37ca62813a13d0102b868c5ffca8472bd0f8edf3d90",
+    ("signed-zero", "2"): "f5b5500745c7452d7e4647bf2360d91f3d364c6bec56b0e5168f05d877dabf1a",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SAMPLED_STDOUT_DIGESTS))
+def test_sampled_stdout_bytes_pinned(files, capsys, name, seed):
+    # A change to the sampled check must not move a single stdout byte:
+    # the seeded pairs, the witness order and the float bits all show here.
+    code, out, _ = run(
+        capsys, "check-convex", files[name], "--mode", "sampled", "--seed", seed
+    )
+    assert code == (0 if name == "convex" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLED_STDOUT_DIGESTS[name, seed]
+    if name == "signed-zero":
+        assert '"rhs": -0.0' in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-convex", "{convex}", "--mode", "sampled", "--samples", "1000001"],
+        ["check-convex", "{convex}", "--mode", "sampled", "--lambdas", "10001"],
+        ["suite", "--name", "jensen", "--trials", "100001"],
+    ],
+)
+def test_counts_above_their_limits_are_usage_errors(files, capsys, argv):
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be at most" in err
 
 
 class TestCut:

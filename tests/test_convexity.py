@@ -1,11 +1,17 @@
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfms import (
+    TOL_CMP,
     BadLevel,
     CutThresholds,
     OutOfDomain,
     PfmsError,
     SumExceedsOne,
+    TooLarge,
     WeightSumInvalid,
     antiunimodal_minorant,
     convex_hull,
@@ -20,6 +26,7 @@ from pfms import (
     multiset_from_values,
     unimodal_majorant,
 )
+from pfms import convexity
 
 APPROX = dict(abs=1e-12)
 
@@ -146,6 +153,158 @@ class TestIsConvexSampled:
                 is_convex_sampled(convex_ms, flag, 21)
             with pytest.raises(PfmsError, match="lambda_samples"):
                 is_convex_sampled(convex_ms, 10, flag)
+
+    def test_sample_count_limits(self, convex_ms):
+        # the first value above each limit is refused before any sampling
+        with pytest.raises(TooLarge, match="pair_samples must be at most 1000000"):
+            is_convex_sampled(convex_ms, 1_000_001, 21)
+        with pytest.raises(TooLarge, match="lambda_samples must be at most 10000"):
+            is_convex_sampled(convex_ms, 1, 10_001)
+        assert is_convex_sampled(convex_ms, 1, 10_000).convex
+
+    def test_peak_memory_does_not_grow_with_samples(self, bimodal_ms):
+        def peak(pairs):
+            tracemalloc.start()
+            try:
+                is_convex_sampled(bimodal_ms, pairs, 21, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6000) < 1.5 * peak(600)
+
+
+def _reference_sampled(ms, pair_samples, lambda_samples, seed):
+    """The sampled check as a plain loop over evaluate with Python's min
+    and max: the first violation by pair, level, lambda and channel."""
+    if pair_samples == 0:
+        return convexity.ConvexityReport(True, (True,) * ms.depth, None, True)
+    rng = random.Random(seed)
+    if lambda_samples == 1:
+        lams = [0.5]
+    else:
+        lams = [i / (lambda_samples - 1) for i in range(lambda_samples)]
+    lo, hi = ms.grid.lo, ms.grid.hi
+    flags = [True] * ms.depth
+    witness = None
+    for _ in range(pair_samples):
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        if y < x:
+            x, y = y, x
+        for level in range(1, ms.depth + 1):
+            gx = ms.evaluate(x, level)
+            gy = ms.evaluate(y, level)
+            for lam in lams:
+                gz = ms.evaluate((1.0 - lam) * x + lam * y, level)
+                for channel in ("positive", "neutral", "negative"):
+                    lhs = gz.channel(channel)
+                    ends = (gx.channel(channel), gy.channel(channel))
+                    if channel == "negative":
+                        rhs = max(ends)
+                        bad = lhs > rhs + TOL_CMP
+                    else:
+                        rhs = min(ends)
+                        bad = lhs < rhs - TOL_CMP
+                    if bad:
+                        flags[level - 1] = False
+                        if witness is None:
+                            witness = convexity.Witness(
+                                x, y, lam, level, channel, lhs, rhs
+                            )
+    return convexity.ConvexityReport(all(flags), tuple(flags), witness)
+
+
+def _outcome(check, *args):
+    """Every report field as (type, repr), which tells -0.0 from 0.0 and
+    numpy scalars from Python ones; or the error raised."""
+    try:
+        report = check(*args)
+    except PfmsError as exc:
+        return ("raises", type(exc), str(exc))
+    w = report.witness
+    fields = [report.convex, report.vacuous, *report.levels, w is None]
+    if w is not None:
+        fields += [w.x, w.y, w.lam, w.level, w.channel, w.lhs, w.rhs]
+    return [(type(v), repr(v)) for v in fields]
+
+
+# Triples at the sum or range bounds: blends of a triple with itself can
+# round past the bound, which makes evaluate raise.
+_EDGE_TRIPLES = (
+    (0.45, 0.05, 0.5000000010000002),
+    (0.9, -0.0, 0.10000000100000009),
+    (0.45, 0.25, 0.30000000100000024),
+    (-1e-9, 1.0 + 1e-9, -0.0),
+)
+
+
+@st.composite
+def _signed(draw, value):
+    return -0.0 if value == 0 and draw(st.booleans()) else value
+
+
+@st.composite
+def _triples(draw, mode):
+    if mode == "continuous":
+        p = draw(st.floats(0.0, 1.0))
+        n = draw(st.floats(0.0, 1.0 - p))
+        return (p, n, draw(st.floats(0.0, max(0.0, 1.0 - p - n))))
+    if mode == "signed-zeros":  # zero ties of either sign on every channel
+        return tuple(draw(st.sampled_from((0.0, -0.0, 0.25))) for _ in range(3))
+    a = draw(st.integers(0, 8))
+    b = draw(st.integers(0, 8 - a))
+    c = draw(st.integers(0, 8 - a - b))
+    return tuple(draw(_signed(k / 8)) for k in (a, b, c))
+
+
+@st.composite
+def _sampled_cases(draw):
+    m = draw(st.sampled_from((5, 6, 3, 4, 1, 2)))
+    depth = draw(st.integers(1, 4))
+    domain = draw(st.sampled_from(
+        ("integers", "signed-zero", "ulp-lattice", "half-ulp", "uneven", "overflow")
+    ))
+    if domain == "integers":
+        points = [float(i) for i in range(m)]
+    elif domain == "signed-zero":  # ends at the node -0.0
+        points = [float(i - m + 1) or -0.0 for i in range(m)]
+    elif domain == "ulp-lattice":  # the span holds no float but the nodes
+        points = [2.0**52 + i for i in range(m)]
+    elif domain == "half-ulp":  # every float of the span is a node or a midpoint
+        points = [2.0**51 + i for i in range(m)]
+    elif domain == "uneven":
+        steps = draw(st.lists(st.floats(0.01, 3.0), min_size=m - 1, max_size=m - 1))
+        points = [draw(st.floats(-5.0, 5.0))]
+        for step in steps:
+            points.append(points[-1] + step)
+    else:  # hi - lo overflows, so the drawn coordinates are not finite
+        points = [1.5e308 * (2 * i / max(m - 1, 1) - 1) for i in range(m)]
+    mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "edge")))
+    if mode == "edge":  # every level flat at a bound, so blends round past it
+        levels = draw(st.lists(st.sampled_from(_EDGE_TRIPLES), min_size=depth, max_size=depth))
+        values = [levels] * m
+    else:
+        values = [draw(st.lists(_triples(mode), min_size=depth, max_size=depth)) for _ in range(m)]
+    # levels sorted by positive degree keep that channel nonincreasing
+    values = [sorted(levels, key=lambda t: -t[0]) for levels in values]
+    ms = multiset_from_values(points, values)
+    pairs = draw(st.sampled_from((4, 12, 1, 0)))
+    lambdas = draw(st.sampled_from((1, 2, 3, 5, 21)))
+    block = draw(st.sampled_from((convexity._BLOCK_POINTS, 1, 7, 30)))
+    return ms, pairs, lambdas, draw(st.integers(0, 2**32 - 1)), block
+
+
+class TestSampledDifferential:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_sampled_cases())
+    def test_report_bits_match_scalar_reference(self, case):
+        ms, pairs, lambdas, seed, block = case
+        expected = _outcome(_reference_sampled, ms, pairs, lambdas, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # small blocks put a pair's successors in later blocks
+            patch.setattr(convexity, "_BLOCK_POINTS", block)
+            assert _outcome(is_convex_sampled, ms, pairs, lambdas, seed) == expected
 
 
 class TestCut:

@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pfms
@@ -23,6 +24,7 @@ from pfms import (
     PositiveOrderViolation,
     SumExceedsOne,
     TOL_CMP,
+    TOL_X,
     multiset_from_values,
 )
 
@@ -260,3 +262,42 @@ def test_all_lists_exactly_the_imported_public_names():
     ]
     assert len(pfms.__all__) == len(set(pfms.__all__))
     assert sorted(pfms.__all__) == sorted(imported + ["__version__"])
+
+
+def _evaluate_outcome(ms, x, level):
+    try:
+        return True, repr(ms.evaluate(x, level).as_tuple())
+    except PfmsError:
+        return False, None
+
+
+@pytest.mark.parametrize(
+    "points, levels",
+    [
+        # signed zeros at and between nodes, one of them the node -0.0
+        ((-2.0, -0.0, 1.5), [[[0.5, -0.0, 0.25], [0.25, 0.0, -0.0]],
+                             [[0.25, 0.5, -0.0], [-0.0, -0.0, 0.5]],
+                             [[0.125, 0.0, 0.0], [0.0, 0.125, -0.0]]]),
+        ((3.0,), [[[0.25, -0.0, 0.5]]]),
+        # flat levels at the sum and range bounds: some blends round past them
+        ((0.0, 1.0, 3.0), [[[0.45, 0.05, 0.5000000010000002]]] * 3),
+        ((0.0, 1.0, 3.0), [[[1.0 + 1e-9, -1e-9, -0.0]]] * 3),
+        # the span overflows, so interpolation fractions can be NaN
+        ((-1.5e308, 1.5e308), [[[0.5, 0.25, 0.25]], [[0.25, 0.5, 0.25]]]),
+    ],
+)
+def test_evaluate_many_matches_evaluate(points, levels):
+    # the array evaluation behind the sampled convexity check: the same
+    # bits as evaluate at nodes, between them and at the slack edges, and
+    # a failure exactly where evaluate raises
+    ms = multiset_from_values(points, levels)
+    lo, hi = ms.grid.lo, ms.grid.hi
+    slack = TOL_X * max(1.0, abs(lo), abs(hi))
+    xs = [*points, 0.0, -0.0, lo / 2, hi / 2, lo - slack / 2, hi + slack / 2,
+          lo - 2 * slack, hi + 2 * slack, math.inf, -math.inf, math.nan]
+    xs += [lo + (hi - lo) * i / 999 for i in range(1000)]
+    grades, ok = ms._evaluate_many(np.array(xs))
+    for i, x in enumerate(xs):
+        for k in range(ms.depth):
+            got = repr(tuple(grades[i, k].tolist())) if ok[i, k] else None
+            assert (bool(ok[i, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)

@@ -242,6 +242,11 @@ class TestSuites:
         with pytest.raises(BadConfig):
             run_suite("jensen", 0)
 
+    def test_trial_limit(self):
+        # refused before a single trial runs
+        with pytest.raises(TooLarge, match="trials must be at most 100000, got 100001"):
+            run_suite("jensen", 100_001)
+
     @pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "hull-theorem-discrepancy"])
     def test_property_suites_pass(self, name):
         result = run_suite(name, 30, seed=5)
