@@ -48,6 +48,7 @@ from .core import (
     SumExceedsOne,
     TooLarge,
     channel_index,
+    level_index,
 )
 from .algebra import WeightVector
 
@@ -161,11 +162,12 @@ class GradeField:
         return bool(self.mask.all())
 
     def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
-        return tuple(self.values[:, level - 1, channel_index(channel)].tolist())
+        k = level_index(level, self.depth)
+        return tuple(self.values[:, k, channel_index(channel)].tolist())
 
     def channel_at(self, channel: str, level: int, x: float) -> float:
         """Linear interpolation of one hull channel, exact at nodes."""
-        nodes = self.values[:, level - 1, channel_index(channel)]
+        nodes = self.values[:, level_index(level, self.depth), channel_index(channel)]
         i, t = self.grid.locate(x)
         if t is None:
             return float(nodes[i])
@@ -379,7 +381,7 @@ def cut(
     if not isinstance(thresholds, CutThresholds):
         thresholds = CutThresholds(*thresholds)
     k = ms.level_index(level)
-    xs = np.array(ms.grid.points)
+    xs = ms.grid.coords
     signed = ms.values[:, k] * CHANNEL_SIGNS
     region = _upper_region(xs, signed[:, 0], thresholds.r)
     region = region.intersect(_upper_region(xs, signed[:, 1], thresholds.s))

@@ -11,7 +11,15 @@ piecewise linear and can be computed exactly.
 An instance keeps its grades in one read-only (points, levels, 3) float64
 array, checked in one vectorised pass with the float expressions of the
 scalar GradeTriple and GradeSequence checks; those re-run on the first
-bad point to raise their error.  Point queries return GradeTriple.
+bad point to raise their error.  A grid keeps its coordinates as a tuple
+and as one read-only float64 array (large grids are checked on the
+array, with the scalar loop re-run to raise), plus its ends and the ends
+widened by the boundary slack, so array code and point queries read them
+instead of rebuilding them.  Point queries return GradeTriple.  In
+DomainGrid.locate a Python float inside the widened ends, and in
+GradeTriple three in-range Python floats with a sum in bound, pass with
+one chained comparison; any other input takes the full checks, so
+results, conversions and errors are those of the checks alone.
 
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
@@ -22,7 +30,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from itertools import chain, filterfalse
 from typing import Iterator, Sequence
 
@@ -81,6 +90,11 @@ class TooLarge(PfmsError):
     """A size or count exceeds what the library will attempt."""
 
 
+_UNIT_LO = -TOL_CMP  # the range check_unit accepts, in its float expressions
+_UNIT_HI = 1.0 + TOL_CMP
+_SUM_CAP = 1.0 + TOL_SUM
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
@@ -90,7 +104,7 @@ def check_unit(value: float, label: str = "value") -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise OutOfUnitInterval(f"{label} must be a real number, got {value!r}")
     v = float(value)
-    if not math.isfinite(v) or v < -TOL_CMP or v > 1.0 + TOL_CMP:
+    if not math.isfinite(v) or v < _UNIT_LO or v > _UNIT_HI:
         raise OutOfUnitInterval(f"{label} must lie in [0, 1], got {value!r}")
     return v
 
@@ -109,6 +123,16 @@ class GradeTriple:
     negative: float
 
     def __post_init__(self) -> None:
+        p, n, g = self.positive, self.neutral, self.negative
+        # Three floats in range with a sum in bound are stored as given
+        # (NaN fails every comparison); anything else takes the checks
+        # below, which convert it or raise.
+        if (
+            type(p) is float and type(n) is float and type(g) is float
+            and _UNIT_LO <= p <= _UNIT_HI and _UNIT_LO <= n <= _UNIT_HI
+            and _UNIT_LO <= g <= _UNIT_HI and p + n + g <= _SUM_CAP
+        ):
+            return
         p = check_unit(self.positive, "positive")
         n = check_unit(self.neutral, "neutral")
         g = check_unit(self.negative, "negative")
@@ -116,7 +140,7 @@ class GradeTriple:
         object.__setattr__(self, "neutral", n)
         object.__setattr__(self, "negative", g)
         total = p + n + g
-        if total > 1.0 + TOL_SUM:
+        if total > _SUM_CAP:
             raise SumExceedsOne(
                 f"positive+neutral+negative = {total!r} exceeds 1"
             )
@@ -183,32 +207,63 @@ class GradeSequence:
         return self.levels[k]
 
 
+_ARRAY_CHECK_MIN = 256  # grid size from which one array pass checks coordinates
+
+
+def _check_coordinates(pts: tuple[float, ...]) -> None:
+    """Scalar grid check: raises InvalidGrid at the first non-finite
+    coordinate, else at the first step of at most TOL_X."""
+    for x in filterfalse(math.isfinite, pts):
+        raise InvalidGrid(f"grid coordinate {x!r} is not finite")
+    for a, b in zip(pts, pts[1:]):
+        if b - a <= TOL_X:
+            raise InvalidGrid(
+                f"grid coordinates must increase strictly: {a!r} then {b!r}"
+            )
+
+
 @dataclass(frozen=True, slots=True)
 class DomainGrid:
-    """Strictly increasing finite coordinates of a closed 1-D domain."""
+    """Strictly increasing finite coordinates of a closed 1-D domain whose
+    span hi - lo is finite.
+
+    ``coords`` holds the coordinates as a read-only float64 array, ``lo``
+    and ``hi`` the ends, and ``lo_reach``/``hi_reach`` the ends widened by
+    the TOL_X-scaled slack that locate accepts.  They are worked out from
+    ``points`` once and take no part in ==, hash or repr."""
 
     points: tuple[float, ...]
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: float = field(init=False, repr=False, compare=False)
+    hi: float = field(init=False, repr=False, compare=False)
+    lo_reach: float = field(init=False, repr=False, compare=False)
+    hi_reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(map(float, self.points))
         object.__setattr__(self, "points", pts)
         if not pts:
             raise InvalidGrid("a grid needs at least one coordinate")
-        for x in filterfalse(math.isfinite, pts):
-            raise InvalidGrid(f"grid coordinate {x!r} is not finite")
-        for a, b in zip(pts, pts[1:]):
-            if b - a <= TOL_X:
-                raise InvalidGrid(
-                    f"grid coordinates must increase strictly: {a!r} then {b!r}"
-                )
-
-    @property
-    def lo(self) -> float:
-        return self.points[0]
-
-    @property
-    def hi(self) -> float:
-        return self.points[-1]
+        coords = np.fromiter(pts, np.float64, len(pts))
+        ok = False  # below _ARRAY_CHECK_MIN points the scalar loop costs less
+        if len(pts) >= _ARRAY_CHECK_MIN:
+            with np.errstate(over="ignore"):  # finite neighbours may differ by inf
+                ok = np.isfinite(coords).all() and (np.diff(coords) > TOL_X).all()
+        if not ok:
+            _check_coordinates(pts)  # raises the first bad coordinate's error
+        lo, hi = pts[0], pts[-1]
+        if not math.isfinite(hi - lo):
+            raise InvalidGrid(f"grid span from {lo!r} to {hi!r} is not finite")
+        coords.flags.writeable = False
+        slack = TOL_X * max(1.0, abs(lo), abs(hi))
+        # near the largest float the widened ends overflow; every finite
+        # coordinate is then within reach, as it would be of +-inf
+        top = sys.float_info.max
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_reach", max(lo - slack, -top))
+        object.__setattr__(self, "hi_reach", min(hi + slack, top))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -224,23 +279,37 @@ class DomainGrid:
         (segment index, fraction) strictly inside a segment.
 
         Coordinates within TOL_X-scaled slack of the span are snapped to
-        the nearest endpoint; anything further out raises OutOfDomain.
-        """
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise OutOfDomain(f"coordinate must be a real number, got {x!r}")
-        x = float(x)
-        if not math.isfinite(x):
-            raise OutOfDomain(f"coordinate {x!r} is not finite")
-        slack = TOL_X * max(1.0, abs(self.lo), abs(self.hi))
-        if x < self.lo - slack or x > self.hi + slack:
-            raise OutOfDomain(
-                f"{x!r} lies outside the domain [{self.lo!r}, {self.hi!r}]"
-            )
-        x = min(max(x, self.lo), self.hi)
-        i = bisect.bisect_left(self.points, x)
-        if i < len(self.points) and self.points[i] == x:
+        the nearest endpoint; anything further out raises OutOfDomain."""
+        # a float within reach is finite; anything else takes the checks
+        if not (type(x) is float and self.lo_reach <= x <= self.hi_reach):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise OutOfDomain(f"coordinate must be a real number, got {x!r}")
+            x = float(x)
+            if not math.isfinite(x):
+                raise OutOfDomain(f"coordinate {x!r} is not finite")
+            if x < self.lo_reach or x > self.hi_reach:
+                raise OutOfDomain(
+                    f"{x!r} lies outside the domain [{self.lo!r}, {self.hi!r}]"
+                )
+        # clamp as min(max(x, lo), hi) does, keeping x on ties (-0.0 vs 0.0)
+        if x < self.lo:
+            x = self.lo
+        elif x > self.hi:
+            x = self.hi
+        pts = self.points
+        i = bisect.bisect_left(pts, x)
+        if pts[i] == x:  # i < len(pts), as x <= hi
             return i, None
-        return i - 1, (x - self.points[i - 1]) / (self.points[i] - self.points[i - 1])
+        return i - 1, (x - pts[i - 1]) / (pts[i] - pts[i - 1])
+
+
+def level_index(level: int, depth: int) -> int:
+    """0-based index of a 1-based level, or BadLevel outside 1..depth."""
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise BadLevel(f"level must be an integer, got {level!r}")
+    if level < 1 or level > depth:
+        raise BadLevel(f"level {level} outside 1..{depth}")
+    return level - 1
 
 
 def _point_grades(per_point) -> GradeSequence:
@@ -344,11 +413,7 @@ class PictureFuzzyMultiset:
         return len(self.grid)
 
     def level_index(self, level: int) -> int:
-        if not isinstance(level, int) or isinstance(level, bool):
-            raise BadLevel(f"level must be an integer, got {level!r}")
-        if level < 1 or level > self.depth:
-            raise BadLevel(f"level {level} outside 1..{self.depth}")
-        return level - 1
+        return level_index(level, self.depth)
 
     def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
         """Node values of one channel at one level, in grid order."""
@@ -357,7 +422,7 @@ class PictureFuzzyMultiset:
 
     def evaluate(self, x: float, level: int) -> GradeTriple:
         """Interpolated triple at coordinate ``x`` on a 1-based level."""
-        k = self.level_index(level)
+        k = level_index(level, self.values.shape[1])
         i, t = self.grid.locate(x)
         if t is None:
             return GradeTriple(*self.values[i, k].tolist())
@@ -374,10 +439,9 @@ class PictureFuzzyMultiset:
         the evaluations that succeed: False where locate rejects the
         coordinate or the triple fails a GradeTriple check.  The caller
         re-runs evaluate on a failure to raise its error."""
-        pts = np.array(self.grid.points)
-        lo, hi = self.grid.lo, self.grid.hi
-        slack = TOL_X * max(1.0, abs(lo), abs(hi))
-        placed = (xs >= lo - slack) & (xs <= hi + slack)  # False for inf and NaN
+        grid = self.grid
+        pts, lo, hi = grid.coords, grid.lo, grid.hi
+        placed = (xs >= grid.lo_reach) & (xs <= grid.hi_reach)  # False for inf and NaN
         x = np.clip(np.where(placed, xs, lo), lo, hi)
         i = np.searchsorted(pts, x)  # bisect_left; i < m after clipping
         node = (pts[i] == x)[..., None, None]

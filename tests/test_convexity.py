@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -8,6 +9,7 @@ from pfms import (
     TOL_CMP,
     BadLevel,
     CutThresholds,
+    InvalidGrid,
     OutOfDomain,
     PfmsError,
     SumExceedsOne,
@@ -278,7 +280,7 @@ def _sampled_cases(draw):
         points = [draw(st.floats(-5.0, 5.0))]
         for step in steps:
             points.append(points[-1] + step)
-    else:  # hi - lo overflows, so the drawn coordinates are not finite
+    else:  # hi - lo overflows (for m > 1), so the grid is refused
         points = [1.5e308 * (2 * i / max(m - 1, 1) - 1) for i in range(m)]
     mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "edge")))
     if mode == "edge":  # every level flat at a bound, so blends round past it
@@ -288,18 +290,24 @@ def _sampled_cases(draw):
         values = [draw(st.lists(_triples(mode), min_size=depth, max_size=depth)) for _ in range(m)]
     # levels sorted by positive degree keep that channel nonincreasing
     values = [sorted(levels, key=lambda t: -t[0]) for levels in values]
-    ms = multiset_from_values(points, values)
     pairs = draw(st.sampled_from((4, 12, 1, 0)))
     lambdas = draw(st.sampled_from((1, 2, 3, 5, 21)))
     block = draw(st.sampled_from((convexity._BLOCK_POINTS, 1, 7, 30)))
-    return ms, pairs, lambdas, draw(st.integers(0, 2**32 - 1)), block
+    return points, values, pairs, lambdas, draw(st.integers(0, 2**32 - 1)), block
 
 
 class TestSampledDifferential:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_sampled_cases())
     def test_report_bits_match_scalar_reference(self, case):
-        ms, pairs, lambdas, seed, block = case
+        points, values, pairs, lambdas, seed, block = case
+        if not math.isfinite(points[-1] - points[0]):
+            # an instance whose span overflows cannot be queried, so its
+            # grid is refused before any check runs
+            with pytest.raises(InvalidGrid, match="span"):
+                multiset_from_values(points, values)
+            return
+        ms = multiset_from_values(points, values)
         expected = _outcome(_reference_sampled, ms, pairs, lambdas, seed)
         with pytest.MonkeyPatch.context() as patch:
             # small blocks put a pair's successors in later blocks
@@ -454,6 +462,17 @@ class TestConvexHull:
         assert not field.fully_valid
         with pytest.raises(SumExceedsOne):
             field.to_multiset()
+
+    def test_bad_levels_raise_what_the_multiset_raises(self, deep_ms):
+        field = convex_hull(deep_ms)
+        for level in (0, 3, -1, True, 1.0, "1"):
+            with pytest.raises(BadLevel) as expected:
+                deep_ms.level_index(level)
+            for query in (lambda: field.channel_at("positive", level, 0.5),
+                          lambda: field.channel_nodes("positive", level)):
+                with pytest.raises(BadLevel) as got:
+                    query()
+                assert str(got.value) == str(expected.value)
 
     def test_channel_at_interpolates(self, bimodal_ms):
         field = convex_hull(bimodal_ms)

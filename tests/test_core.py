@@ -1,11 +1,15 @@
 import ast
+import dataclasses
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pfms
+from pfms import core
 from pfms import (
     BadLevel,
     CutRegion,
@@ -129,6 +133,111 @@ class TestDomainGrid:
             g.locate(2.01)
         with pytest.raises(OutOfDomain):
             g.locate(float("nan"))
+
+
+    def test_span_must_be_finite(self):
+        with pytest.raises(InvalidGrid) as refused:
+            DomainGrid((-1.5e308, 1.5e308))
+        assert str(refused.value) == "grid span from -1.5e+308 to 1.5e+308 is not finite"
+        with pytest.raises(InvalidGrid, match="span"):
+            multiset_from_values((-1.5e308, 0.0, 1.5e308), [[[0.5, 0.25, 0.25]]] * 3)
+        top = DomainGrid((-1.7976931348623157e308, -1e308))
+        assert top.locate(-1.7976931348623157e308) == (0, None)
+
+    def test_reach_stays_finite_at_the_largest_float(self):
+        # lo minus the slack overflows here; -inf must still be refused
+        g = DomainGrid((-1.7976931348623157e308, -1e308))
+        assert g.lo_reach == -1.7976931348623157e308
+        with pytest.raises(OutOfDomain, match="not finite"):
+            g.locate(-math.inf)
+
+
+def _reference_grid_error(points):
+    """The scalar grid check, written out: the message of the first
+    InvalidGrid a grid of these points raises, or None."""
+    pts = tuple(map(float, points))
+    if not pts:
+        return "a grid needs at least one coordinate"
+    for x in pts:
+        if not math.isfinite(x):
+            return f"grid coordinate {x!r} is not finite"
+    for a, b in zip(pts, pts[1:]):
+        if b - a <= TOL_X:
+            return f"grid coordinates must increase strictly: {a!r} then {b!r}"
+    if not math.isfinite(pts[-1] - pts[0]):
+        return f"grid span from {pts[0]!r} to {pts[-1]!r} is not finite"
+    return None
+
+
+@st.composite
+def _grid_points(draw):
+    """Mostly increasing points with bad neighbours mixed in: repeats,
+    steps at and just over TOL_X, NaN, infinities, steps back and jumps
+    that make the span overflow."""
+    start = st.sampled_from((0.0, -0.0, 1.0, -1e308, -1e308, -math.inf, math.nan))
+    points = [draw(start if draw(st.booleans()) else st.floats(-1e6, 1e6))]
+    for _ in range(draw(st.integers(0, 7))):
+        a = points[-1]
+        step = draw(st.sampled_from(
+            ("up",) * 12 + ("repeat", "tol", "over-tol", "nan", "inf", "-inf", "back", "huge", "huge")
+        ))
+        if step == "up":
+            b = a + draw(st.floats(1e-9, 1e3)) * max(1.0, abs(a) * 1e-6)
+        elif step == "repeat":
+            b = a
+        elif step == "tol":
+            b = a + TOL_X
+        elif step == "over-tol":
+            b = math.nextafter(a + TOL_X, math.inf)
+        elif step in ("nan", "inf", "-inf"):
+            b = float(step)
+        elif step == "back":
+            b = a - draw(st.floats(0.0, 1.0))
+        else:
+            b = 1.7e308
+        points.append(b)
+    return points
+
+
+class TestGridCoords:
+    def test_read_only_and_bit_identical(self):
+        g = DomainGrid((-2, -0.0, np.float64(1.5), 7.25))
+        assert g.coords.dtype == np.float64 and not g.coords.flags.writeable
+        with pytest.raises(ValueError):
+            g.coords[0] = 1.0
+        expected = struct.pack(f"<{len(g)}d", *g.points)
+        assert g.coords.astype("<f8").tobytes() == expected  # -0.0 kept
+        assert (g.lo, g.hi) == (-2.0, 7.25)
+
+    def test_no_part_in_eq_hash_or_repr(self):
+        shown = [f.name for f in dataclasses.fields(DomainGrid) if f.repr]
+        compared = [f.name for f in dataclasses.fields(DomainGrid) if f.compare]
+        assert shown == compared == ["points"]
+        a, b = DomainGrid((0.0, 1.0)), DomainGrid([0, 1])
+        object.__setattr__(b, "coords", np.array([5.0, 6.0]))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "DomainGrid(points=(0.0, 1.0))"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_grid_points())
+    @example([-1e308, 1.7e308])
+    @example([-1.5e308, 0.0, 1.5e308])
+    @example([-1.7976931348623157e308, 1.7976931348623157e308])
+    @example([-1.7976931348623157e308, 0.0, math.inf])
+    @example([-math.inf, 0.0])
+    def test_vectorised_validation_matches_scalar_loop(self, points):
+        expected = _reference_grid_error(points)
+        # small grids skip the array pass unless its size limit is lowered
+        for least in (1, core._ARRAY_CHECK_MIN):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_ARRAY_CHECK_MIN", least)
+                try:
+                    g = DomainGrid(points)
+                except InvalidGrid as exc:
+                    assert str(exc) == expected
+                else:
+                    assert expected is None
+                    assert g.coords.tolist() == list(g.points)
 
 
 class TestPictureFuzzyMultiset:
@@ -282,14 +391,21 @@ def _evaluate_outcome(ms, x, level):
         # flat levels at the sum and range bounds: some blends round past them
         ((0.0, 1.0, 3.0), [[[0.45, 0.05, 0.5000000010000002]]] * 3),
         ((0.0, 1.0, 3.0), [[[1.0 + 1e-9, -1e-9, -0.0]]] * 3),
-        # the span overflows, so interpolation fractions can be NaN
+        # the span overflows, so the grid is refused
         ((-1.5e308, 1.5e308), [[[0.5, 0.25, 0.25]], [[0.25, 0.5, 0.25]]]),
+        # lo minus the slack overflows: -inf must stay outside the domain
+        ((-1.7976931348623157e308, -1e308), [[[0.5, 0.25, 0.25]], [[0.25, 0.5, 0.25]]]),
     ],
 )
 def test_evaluate_many_matches_evaluate(points, levels):
     # the array evaluation behind the sampled convexity check: the same
     # bits as evaluate at nodes, between them and at the slack edges, and
     # a failure exactly where evaluate raises
+    if not math.isfinite(points[-1] - points[0]):
+        # interpolation fractions would be NaN, so no query could succeed
+        with pytest.raises(InvalidGrid, match="span"):
+            multiset_from_values(points, levels)
+        return
     ms = multiset_from_values(points, levels)
     lo, hi = ms.grid.lo, ms.grid.hi
     slack = TOL_X * max(1.0, abs(lo), abs(hi))
