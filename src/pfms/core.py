@@ -11,15 +11,15 @@ piecewise linear and can be computed exactly.
 An instance keeps its grades in one read-only (points, levels, 3) float64
 array, checked in one vectorised pass with the float expressions of the
 scalar GradeTriple and GradeSequence checks; those re-run on the first
-bad point to raise their error.  A grid keeps its coordinates as a tuple
-and as one read-only float64 array (large grids are checked on the
-array, with the scalar loop re-run to raise), plus its ends and the ends
-widened by the boundary slack, so array code and point queries read them
-instead of rebuilding them.  Point queries return GradeTriple.  In
-DomainGrid.locate a Python float inside the widened ends, and in
-GradeTriple three in-range Python floats with a sum in bound, pass with
-one chained comparison; any other input takes the full checks, so
-results, conversions and errors are those of the checks alone.
+bad point to raise their error.  A grid checks its coordinates in a
+scalar loop and keeps them as a tuple and as one read-only float64
+array, plus its ends and the ends widened by the boundary slack, so
+array code and point queries read them instead of rebuilding them.
+Point queries return GradeTriple.  In DomainGrid.locate a Python float
+inside the widened ends, and in GradeTriple three in-range Python floats
+with a sum in bound, pass with one chained comparison; any other input
+takes the full checks, so results, conversions and errors are those of
+the checks alone.
 
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
@@ -207,21 +207,6 @@ class GradeSequence:
         return self.levels[k]
 
 
-_ARRAY_CHECK_MIN = 256  # grid size from which one array pass checks coordinates
-
-
-def _check_coordinates(pts: tuple[float, ...]) -> None:
-    """Scalar grid check: raises InvalidGrid at the first non-finite
-    coordinate, else at the first step of at most TOL_X."""
-    for x in filterfalse(math.isfinite, pts):
-        raise InvalidGrid(f"grid coordinate {x!r} is not finite")
-    for a, b in zip(pts, pts[1:]):
-        if b - a <= TOL_X:
-            raise InvalidGrid(
-                f"grid coordinates must increase strictly: {a!r} then {b!r}"
-            )
-
-
 @dataclass(frozen=True, slots=True)
 class DomainGrid:
     """Strictly increasing finite coordinates of a closed 1-D domain whose
@@ -244,16 +229,17 @@ class DomainGrid:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise InvalidGrid("a grid needs at least one coordinate")
-        coords = np.fromiter(pts, np.float64, len(pts))
-        ok = False  # below _ARRAY_CHECK_MIN points the scalar loop costs less
-        if len(pts) >= _ARRAY_CHECK_MIN:
-            with np.errstate(over="ignore"):  # finite neighbours may differ by inf
-                ok = np.isfinite(coords).all() and (np.diff(coords) > TOL_X).all()
-        if not ok:
-            _check_coordinates(pts)  # raises the first bad coordinate's error
+        for x in filterfalse(math.isfinite, pts):
+            raise InvalidGrid(f"grid coordinate {x!r} is not finite")
+        for a, b in zip(pts, pts[1:]):
+            if b - a <= TOL_X:
+                raise InvalidGrid(
+                    f"grid coordinates must increase strictly: {a!r} then {b!r}"
+                )
         lo, hi = pts[0], pts[-1]
         if not math.isfinite(hi - lo):
             raise InvalidGrid(f"grid span from {lo!r} to {hi!r} is not finite")
+        coords = np.fromiter(pts, np.float64, len(pts))
         coords.flags.writeable = False
         slack = TOL_X * max(1.0, abs(lo), abs(hi))
         # near the largest float the widened ends overflow; every finite

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pfms
-from pfms import core
 from pfms import (
     BadLevel,
     CutRegion,
@@ -225,19 +224,15 @@ class TestGridCoords:
     @example([-1.7976931348623157e308, 1.7976931348623157e308])
     @example([-1.7976931348623157e308, 0.0, math.inf])
     @example([-math.inf, 0.0])
-    def test_vectorised_validation_matches_scalar_loop(self, points):
+    def test_validation_matches_reference_loop(self, points):
         expected = _reference_grid_error(points)
-        # small grids skip the array pass unless its size limit is lowered
-        for least in (1, core._ARRAY_CHECK_MIN):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(core, "_ARRAY_CHECK_MIN", least)
-                try:
-                    g = DomainGrid(points)
-                except InvalidGrid as exc:
-                    assert str(exc) == expected
-                else:
-                    assert expected is None
-                    assert g.coords.tolist() == list(g.points)
+        try:
+            g = DomainGrid(points)
+        except InvalidGrid as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert g.coords.tolist() == list(g.points)
 
 
 class TestPictureFuzzyMultiset:
