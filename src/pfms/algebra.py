@@ -25,6 +25,7 @@ from .core import (
     LengthMismatch,
     PfmsError,
     PictureFuzzyMultiset,
+    SumExceedsOne,
     check_unit,
 )
 
@@ -179,14 +180,33 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     The swap itself is exact; re-sorting is required because the new
     positive channel (the old negative one) carries no order guarantee.
     Ties sort by neutral descending, then negative ascending, and keep
-    their level order when all three agree (the sort is stable)."""
+    their level order when all three agree (the sort is stable).  The sum
+    bound is checked as (positive + neutral) + negative, so a valid triple
+    can round just above it once swapped; there the largest channel of
+    the triple is lowered by the fewest ulps that bring the sum back in
+    bound, so the complement of a valid instance is valid."""
     swapped = a.values[..., ::-1]
     if a.depth > 1:
         order = np.lexsort(
             (swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1
         )
         swapped = np.take_along_axis(swapped, order[..., None], axis=1)
+    try:
+        return PictureFuzzyMultiset(a.grid, swapped)
+    except SumExceedsOne:
+        pass
+    swapped = swapped.copy()
+    for i, k in np.argwhere(_sum(swapped) > 1.0 + TOL_SUM):
+        trip = swapped[i, k]
+        while _sum(trip) > 1.0 + TOL_SUM:
+            top = trip.argmax()
+            trip[top] = np.nextafter(trip[top], -np.inf)
     return PictureFuzzyMultiset(a.grid, swapped)
+
+
+def _sum(values: np.ndarray) -> np.ndarray:
+    """Channel sums in the order the sum bound is checked."""
+    return (values[..., 0] + values[..., 1]) + values[..., 2]
 
 
 def convex_combination(

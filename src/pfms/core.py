@@ -95,6 +95,16 @@ _UNIT_HI = 1.0 + TOL_CMP
 _SUM_CAP = 1.0 + TOL_SUM
 
 
+def _float_or_inf(value: float) -> float:
+    """float(value), or a same-signed infinity for an int beyond the float
+    range, which float() refuses with OverflowError.  Callers try float()
+    first and call this only on OverflowError, keeping it off fast paths."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
@@ -103,9 +113,14 @@ def check_unit(value: float, label: str = "value") -> float:
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise OutOfUnitInterval(f"{label} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        v = _float_or_inf(value)
     if not math.isfinite(v) or v < _UNIT_LO or v > _UNIT_HI:
-        raise OutOfUnitInterval(f"{label} must lie in [0, 1], got {value!r}")
+        # an int beyond the float range shows as the infinity it overflows to
+        shown = v if math.isinf(v) else value
+        raise OutOfUnitInterval(f"{label} must lie in [0, 1], got {shown!r}")
     return v
 
 
@@ -225,7 +240,11 @@ class DomainGrid:
     hi_reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(map(float, self.points))
+        raw = tuple(self.points)
+        try:
+            pts = tuple(map(float, raw))
+        except OverflowError:
+            pts = tuple(map(_float_or_inf, raw))
         object.__setattr__(self, "points", pts)
         if not pts:
             raise InvalidGrid("a grid needs at least one coordinate")
@@ -270,7 +289,10 @@ class DomainGrid:
         if not (type(x) is float and self.lo_reach <= x <= self.hi_reach):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise OutOfDomain(f"coordinate must be a real number, got {x!r}")
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:
+                x = _float_or_inf(x)
             if not math.isfinite(x):
                 raise OutOfDomain(f"coordinate {x!r} is not finite")
             if x < self.lo_reach or x > self.hi_reach:
@@ -497,7 +519,10 @@ class CutRegion:
         lo, hi = -math.inf, math.inf
         for pair in self.intervals:
             a, b = pair
-            a, b = float(a), float(b)
+            try:
+                a, b = float(a), float(b)
+            except OverflowError:
+                a, b = _float_or_inf(a), _float_or_inf(b)
             if not lo < a <= b < hi:
                 raise MalformedRegion(
                     f"interval [{a!r}, {b!r}] is reversed or not finite"

@@ -5,11 +5,15 @@ instance, and every suite derives one sub-seed per trial from the suite
 seed and the trial index, so re-runs produce byte-identical reports.
 
 The oracles are deliberately written against different machinery than the
-exact checkers they validate: convexity is brute-forced by sampling the
-segment inequalities on a uniform coordinate lattice (vectorised with
-numpy), hull envelopes are found by exhaustively enumerating monotone
-candidate sequences rather than by the running-maximum construction, and
-the cut scan decides convexity from threshold cuts instead of node shapes.
+exact checkers they validate: convexity is brute-forced by testing the
+segment inequalities for every pair of points of a uniform coordinate
+lattice at every weight of a uniform lambda grid, each blended coordinate
+read off one finer lattice that numpy interpolates once per channel and
+level; hull envelopes are found by an exhaustive search over (node,
+candidate value, rising or falling) states rather than by the
+running-maximum construction; the hull-properties suite tests unimodality
+with its own scalar scan; and the cut scan decides convexity from
+threshold cuts instead of node shapes.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from .convexity import (
     hull_membership_test,
     is_convex_exact,
     jensen_check,
-    unimodal_majorant,
-    antiunimodal_minorant,
 )
 from .fileio import instance_document
 
@@ -55,7 +57,7 @@ class UnknownSuite(PfmsError):
 
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
 _MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
-_MAX_ORACLE_CELLS = 4_000_000  # resolution**2 * lambda_resolution the oracle allocates
+_MAX_ORACLE_CELLS = 4_000_000  # largest resolution**2 * lambda_resolution the oracle accepts
 _MAX_TRIALS = 100_000  # largest trial count run_suite accepts
 
 
@@ -294,9 +296,14 @@ def oracle_convexity(
 ) -> bool:
     """Brute-force the segment inequalities on a uniform coordinate lattice.
 
-    Checks every ordered pair of lattice coordinates against every blend
-    weight on a uniform lambda grid, all channels and levels, using
-    numpy's interpolation rather than the package evaluator."""
+    Checks every pair of lattice coordinates against every blend weight
+    on a uniform lambda grid, all channels and levels, using numpy's
+    interpolation rather than the package evaluator.  With the lattice
+    lo + i*h and weights k/K, the blend of points i and j at weight k/K is
+    point (K - k)*i + k*j of the K times finer lattice (K = 2 for the
+    single weight 1/2), so each channel is interpolated once on that finer
+    lattice and every blend and lattice value is gathered from it by
+    index."""
     if resolution < 2 or lambda_resolution < 1:
         raise BadConfig("oracle needs resolution >= 2 and lambda_resolution >= 1")
     if resolution * resolution * lambda_resolution > _MAX_ORACLE_CELLS:
@@ -304,15 +311,16 @@ def oracle_convexity(
     if ms.size == 1:
         return True
     xs = np.asarray(ms.grid.points)
-    lattice = np.linspace(ms.grid.lo, ms.grid.hi, resolution)
     if lambda_resolution == 1:
-        lams = np.array([0.5])
+        steps, ks = 2, np.array([1])
     else:
-        lams = np.linspace(0.0, 1.0, lambda_resolution)
-    blend = (1.0 - lams[None, None, :]) * lattice[:, None, None] + lams[
-        None, None, :
-    ] * lattice[None, :, None]
-    flat = blend.ravel()
+        steps, ks = lambda_resolution - 1, np.arange(lambda_resolution)
+    fine = np.linspace(ms.grid.lo, ms.grid.hi, (resolution - 1) * steps + 1)
+    # blend[k, p] is the fine index (K - k)*i + k*j of the blend of pair
+    # p = (i, j), i < j, at weight k/K: j and i at weight 1 - k/K give the
+    # same index, and a point blended with itself is itself
+    i, j = np.triu_indices(resolution, 1)
+    blend = (steps - ks)[:, None] * i + ks[:, None] * j
     for level in range(1, ms.depth + 1):
         for channel, upper in (
             ("positive", False),
@@ -320,19 +328,17 @@ def oracle_convexity(
             ("negative", True),
         ):
             nodes = np.asarray(ms.channel_nodes(channel, level))
-            at_lattice = np.interp(lattice, xs, nodes)
-            at_blend = np.interp(flat, xs, nodes).reshape(blend.shape)
+            at_fine = np.interp(fine, xs, nodes)
+            at_lattice = at_fine[::steps]
+            at_blend = at_fine.take(blend)
+            # a pair fails when its worst blend does
             if upper:
-                bound = np.maximum(
-                    at_lattice[:, None, None], at_lattice[None, :, None]
-                )
-                if np.any(at_blend > bound + TOL_CMP):
+                bound = np.maximum(at_lattice[i], at_lattice[j])
+                if np.any(at_blend.max(axis=0) > bound + TOL_CMP):
                     return False
             else:
-                bound = np.minimum(
-                    at_lattice[:, None, None], at_lattice[None, :, None]
-                )
-                if np.any(at_blend < bound - TOL_CMP):
+                bound = np.minimum(at_lattice[i], at_lattice[j])
+                if np.any(at_blend.min(axis=0) < bound - TOL_CMP):
                     return False
     return True
 
@@ -413,74 +419,47 @@ def cuts_all_convex(ms: PictureFuzzyMultiset) -> CutConvexityReport:
     return CutConvexityReport(convex=True)
 
 
-def _enum_nondecreasing(
-    values: Sequence[float], candidates: Sequence[float]
-) -> list[tuple[float, ...]]:
-    """All nondecreasing tuples dominating ``values`` with entries drawn
-    from ``candidates``."""
-    out: list[tuple[float, ...]] = []
-    acc: list[float] = []
-
-    def rec(i: int, prev: float) -> None:
-        if i == len(values):
-            out.append(tuple(acc))
-            return
-        for c in candidates:
-            if c >= prev and c >= values[i]:
-                acc.append(c)
-                rec(i + 1, c)
-                acc.pop()
-
-    rec(0, -math.inf)
-    return out
-
-
 def _least_unimodal_by_search(values: Sequence[float]) -> tuple[float, ...]:
-    """Pointwise minimum over every enumerated unimodal majorant.
+    """Pointwise minimum over every unimodal majorant drawn from the
+    input's own values, found by an exhaustive search over states.
 
-    Candidate entries are the input's own values: the least majorant only
-    ever takes values already present, so the restricted search still
-    contains it, and the pointwise minimum over all unimodal majorants is
-    exactly the least one."""
-    n = len(values)
+    A state is (node, candidate value, rising or falling).  A forward pass
+    collects the states that some dominating sequence reaches, rising with
+    nondecreasing values and then falling with nonincreasing ones; a
+    backward pass keeps those from which the last node is reachable.  The
+    surviving states at a node are exactly the values that some complete
+    unimodal majorant takes there.  Candidate entries are the input's own
+    values: the least majorant only ever takes values already present, so
+    the restricted search still contains it, and the pointwise minimum over
+    all unimodal majorants is exactly the least one."""
     candidates = sorted(set(values))
-    best: list[float] | None = None
-    for peak in range(n):
-        prefix_min: dict[float, tuple[float, ...]] = {}
-        for u in _enum_nondecreasing(values[: peak + 1], candidates):
-            top = u[-1]
-            cur = prefix_min.get(top)
-            prefix_min[top] = (
-                u if cur is None else tuple(min(a, b) for a, b in zip(cur, u))
-            )
-        suffix_min: dict[float, tuple[float, ...]] = {}
-        reversed_tail = list(reversed(values[peak:]))
-        for u in _enum_nondecreasing(reversed_tail, candidates):
-            w = tuple(reversed(u))
-            top = w[0]
-            cur = suffix_min.get(top)
-            suffix_min[top] = (
-                w if cur is None else tuple(min(a, b) for a, b in zip(cur, w))
-            )
-        for top, pre in prefix_min.items():
-            suf = suffix_min.get(top)
-            if suf is None:
-                continue
-            full = pre + suf[1:]
-            if best is None:
-                best = list(full)
-            else:
-                best = [min(a, b) for a, b in zip(best, full)]
-    assert best is not None
-    return tuple(best)
+    fits = [[c for c in candidates if c >= v] for v in values]
+    # a step exists from some state of a set when its least (or greatest)
+    # value allows it; empty sets allow none
+    rising, falling = [set(fits[0])], [set()]
+    for fit in fits[1:]:
+        low = min(rising[-1], default=math.inf)
+        high = max(rising[-1] | falling[-1], default=-math.inf)
+        rising.append({c for c in fit if c >= low})
+        falling.append({c for c in fit if c <= high})
+    alive_up, alive_down = rising[-1], falling[-1]
+    least = [min(alive_up | alive_down)]
+    for node in range(len(values) - 2, -1, -1):
+        high = max(alive_up, default=-math.inf)
+        low = min(alive_down, default=math.inf)
+        alive_up = {c for c in rising[node] if c <= high or c >= low}
+        alive_down = {c for c in falling[node] if c >= low}
+        least.append(min(alive_up | alive_down))
+    return tuple(reversed(least))
 
 
 def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
     """Brute-force hull for small lattice-valued instances.
 
-    Enumerates unimodal majorants (and, mirrored, anti-unimodal minorants)
-    outright instead of using the envelope construction.  Refuses grids
-    beyond seven points or steps below 0.05."""
+    Searches every unimodal majorant (and, mirrored, every anti-unimodal
+    minorant) over the input's own values, node by node, instead of using
+    the envelope construction.  Refuses grids beyond seven points or steps
+    below 0.05."""
     if ms.size > 7:
         raise TooLarge(f"oracle handles at most 7 grid points, got {ms.size}")
     if step < 0.05 - 1e-12 or step > 1.0:
@@ -775,6 +754,17 @@ def _suite_jensen(trials: int, seed: int, record) -> None:
             )
 
 
+def _rises_after_falling(values: Sequence[float]) -> bool:
+    """Whether a strict rise follows a strict fall: not unimodal."""
+    fallen = False
+    for a, b in zip(values, values[1:]):
+        if b < a:
+            fallen = True
+        elif b > a and fallen:
+            return True
+    return False
+
+
 def _hull_law_violation(
     ms: PictureFuzzyMultiset, field: GradeField
 ) -> str | None:
@@ -785,12 +775,12 @@ def _hull_law_violation(
             if channel == "negative":
                 if any(h > v for h, v in zip(hull, original)):
                     return f"negative hull above input at level {level}"
-                if antiunimodal_minorant(hull) != hull:
+                if _rises_after_falling([-h for h in hull]):
                     return f"negative hull not anti-unimodal/idempotent at level {level}"
             else:
                 if any(h < v for h, v in zip(hull, original)):
                     return f"{channel} hull below input at level {level}"
-                if unimodal_majorant(hull) != hull:
+                if _rises_after_falling(hull):
                     return f"{channel} hull not unimodal/idempotent at level {level}"
     return None
 

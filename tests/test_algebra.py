@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfms import (
     ChannelWeights,
@@ -7,6 +10,7 @@ from pfms import (
     GridMismatch,
     LengthMismatch,
     PositiveOrderViolation,
+    TOL_SUM,
     WeightSumInvalid,
     WeightVector,
     complement,
@@ -159,6 +163,44 @@ class TestComplement:
         )
         assert triple_at(by_negative, 0, 1) == (0.3, 0.2, 0.1)
         assert triple_at(by_negative, 0, 2) == (0.3, 0.2, 0.5)
+
+    def test_valid_triple_at_the_sum_bound(self):
+        # (p + n) + g is the cap 1 + TOL_SUM exactly; (g + n) + p rounds
+        # 1 ulp above it, so the largest channel gives up that ulp
+        p, n, g = 0.9956448355104628, 0.0020480749286869806, 0.0023070905608504333
+        out = complement(single(p, n, g))
+        assert triple_at(out) == (g, n, math.nextafter(p, 0.0))
+        assert triple_at(complement(out)) == (math.nextafter(p, 0.0), n, g)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.integers(min_value=-3, max_value=0),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_valid_instances_at_the_sum_bound(self, levels):
+        # each level's third channel is the cap minus the other two, moved
+        # a few ulps; complement must keep every valid one valid and move
+        # no grade by more than a few ulps
+        triples = []
+        for a, b, ulps in sorted(((min(a, 1.0 - b), b, u) for a, b, u in levels), reverse=True):
+            c = max(1.0 + TOL_SUM - (a + b), 0.0)
+            for _ in range(-ulps):
+                c = math.nextafter(c, 0.0)
+            while (a + b) + c > 1.0 + TOL_SUM:
+                c = math.nextafter(c, -1.0)
+            triples.append([a, b, c])
+        ms = multiset_from_values((0.0,), [triples])
+        out = complement(ms)
+        expected = sorted((t[::-1] for t in triples), key=lambda t: (-t[0], -t[1], t[2]))
+        for got, want in zip(out.values[0].tolist(), expected):
+            assert got == pytest.approx(want, rel=0.0, abs=1e-15)
 
     def test_involution_up_to_level_reordering(self, deep_ms):
         back = complement(complement(deep_ms))

@@ -337,6 +337,25 @@ class TestOp:
         a = parse_instance(json.dumps(CONVEX_DOC))
         assert parse_instance(out) == complement(a)
 
+    def test_complement_of_a_valid_triple_at_the_sum_bound(self, tmp_path, capsys):
+        # (p + n) + g is the cap exactly; after the swap (g + n) + p is not
+        doc = {
+            "format_version": "1",
+            "domain": [0.0],
+            "depth": 1,
+            "elements": [[[0.9956448355104628, 0.0020480749286869806, 0.0023070905608504333]]],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path))[0] == 0
+        code, out, err = run(capsys, "op", "complement", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["elements"] == [
+            [[0.0023070905608504333, 0.0020480749286869806, 0.9956448355104627]]
+        ]
+        path.write_text(out)
+        assert run(capsys, "validate", str(path))[0] == 0
+
     def test_complement_rejects_second_operand(self, files, capsys):
         code, _, err = run(
             capsys, "op", "complement", files["convex"], files["bimodal"]

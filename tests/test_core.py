@@ -305,6 +305,43 @@ class TestPictureFuzzyMultiset:
             convex_ms.evaluate(0.5, 2)
 
 
+class TestIntsBeyondTheFloatRange:
+    """float() refuses such ints with OverflowError; every check reports
+    them with its own error, as the infinity they overflow to."""
+
+    @pytest.mark.parametrize(
+        "big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+    )
+    def test_unit_checks(self, big):
+        with pytest.raises(OutOfUnitInterval) as refused:
+            GradeTriple(big, 0, 0)
+        sign = "-" if big < 0 else ""
+        assert str(refused.value) == f"positive must lie in [0, 1], got {sign}inf"
+        with pytest.raises(OutOfUnitInterval, match=f"t must lie in \\[0, 1\\], got {sign}inf"):
+            CutThresholds(0, 0, big)
+        with pytest.raises(OutOfUnitInterval):
+            multiset_from_values((0.0,), [[[0.5, big, 0.0]]])
+
+    def test_locate(self, convex_ms):
+        with pytest.raises(OutOfDomain) as refused:
+            convex_ms.evaluate(10**400, 1)
+        assert str(refused.value) == "coordinate inf is not finite"
+        with pytest.raises(OutOfDomain, match="coordinate -inf is not finite"):
+            convex_ms.grid.locate(-(10**400))
+
+    def test_grid(self):
+        with pytest.raises(InvalidGrid) as refused:
+            DomainGrid((0.0, 10**400))
+        assert str(refused.value) == "grid coordinate inf is not finite"
+        with pytest.raises(InvalidGrid, match="grid coordinate -inf is not finite"):
+            multiset_from_values((-(10**400), 0.0), [[[0.5, 0.25, 0.25]]] * 2)
+        assert DomainGrid((0, 2**1023)).points == (0.0, 2.0**1023)
+
+    def test_region(self):
+        with pytest.raises(MalformedRegion, match="reversed or not finite"):
+            CutRegion(((0, 10**400),))
+
+
 class TestCutThresholds:
     def test_validation(self):
         thr = CutThresholds(0.4, 0.15, 0.2)
