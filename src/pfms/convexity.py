@@ -47,6 +47,7 @@ from .core import (
     PictureFuzzyMultiset,
     SumExceedsOne,
     TooLarge,
+    _shown,
     channel_index,
     level_index,
 )
@@ -282,9 +283,11 @@ def is_convex_sampled(
         ("lambda_samples", lambda_samples, 1, _MAX_LAMBDA_SAMPLES),
     ):
         if not isinstance(count, int) or isinstance(count, bool) or count < least:
-            raise PfmsError(f"{name} must be an integer >= {least}, got {count!r}")
+            raise PfmsError(
+                f"{name} must be an integer >= {least}, got {_shown(count)}"
+            )
         if count > most:
-            raise TooLarge(f"{name} must be at most {most}, got {count}")
+            raise TooLarge(f"{name} must be at most {most}, got {_shown(count, str)}")
     if pair_samples == 0:
         return ConvexityReport(
             convex=True, levels=(True,) * ms.depth, vacuous=True

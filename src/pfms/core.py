@@ -105,6 +105,19 @@ def _float_or_inf(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for an error message, or the digit count of an int
+    too long for CPython to convert to a string, which ``str`` and ``repr``
+    refuse with ValueError (``sys.get_int_max_str_digits``)."""
+    try:
+        return form(value)
+    except ValueError:
+        n = abs(value)
+        digits = int(n.bit_length() * 0.30102999566398120) + 1  # exact or 1 over
+        digits -= n < 10 ** (digits - 1)
+        return f"{'-' if value < 0 else ''}<int of {digits} digits>"
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
@@ -316,7 +329,7 @@ def level_index(level: int, depth: int) -> int:
     if not isinstance(level, int) or isinstance(level, bool):
         raise BadLevel(f"level must be an integer, got {level!r}")
     if level < 1 or level > depth:
-        raise BadLevel(f"level {level} outside 1..{depth}")
+        raise BadLevel(f"level {_shown(level, str)} outside 1..{depth}")
     return level - 1
 
 

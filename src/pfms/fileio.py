@@ -15,15 +15,28 @@ are rejected.  Numbers are emitted with shortest round-tripping decimal
 representations (at most 17 significant digits), so parse(emit(ms))
 reproduces every float bit for bit.
 
-Parsing is ``json.loads`` plus one vectorised check of ``elements``; a bad
-table is re-checked entry by entry from its first bad entry, so errors
-carry paths such as ``elements[i][k][j]``.  Emitting is ``json.dumps``.
+Parsing is ``json.loads`` plus one type scan of ``domain`` and one
+vectorised check of ``elements``; a bad domain or table is re-checked entry
+by entry from its first bad entry, so errors carry paths such as
+``domain[i]`` or ``elements[i][k][j]``.  Emitting is ``values.tolist()``
+plus ``json.dumps``.
+
+Both run with CPython's cyclic garbage collector paused.  A document of
+m points holds about m * (depth + 1) lists, all freed by reference counting
+when parse or emit drops the document; left on, the collector would scan
+them hundreds of times on the way (about a fifth of a parse-and-emit cycle
+at m = 10**5), finding nothing to free.  Parse drops the document before
+the collector is switched back on, so it never sees those lists, and a
+caller who had switched the collector off finds it still off.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from typing import Any
+import threading
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .core import (
     DomainGrid,
@@ -31,6 +44,7 @@ from .core import (
     GradeTriple,
     PfmsError,
     PictureFuzzyMultiset,
+    _shown,
     first_invalid_point,
     real_array,
 )
@@ -66,6 +80,32 @@ def _require_number(value: Any, path: str) -> float:
         raise SchemaError(path, "integer too large for a float") from None
 
 
+_pause_lock = threading.Lock()
+_open_pauses = 0  # blocks inside _collector_paused, in every thread
+_resume_collector = False  # the collector was on when the first one began
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the block.  Its switch is
+    process-wide, so overlapping blocks in several threads share one pause:
+    the first to enter switches it off, the last to leave switches it back
+    on only if it was on when the first entered."""
+    global _open_pauses, _resume_collector
+    with _pause_lock:
+        if _open_pauses == 0:
+            _resume_collector = gc.isenabled()
+            gc.disable()
+        _open_pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _open_pauses -= 1
+            if _open_pauses == 0 and _resume_collector:
+                gc.enable()
+
+
 def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     """Build a multiset from an already-parsed JSON object."""
     if not isinstance(doc, dict):
@@ -79,15 +119,24 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     if doc["format_version"] != FORMAT_VERSION:
         raise SchemaError(
             "format_version",
-            f"expected {FORMAT_VERSION!r}, got {doc['format_version']!r}",
+            f"expected {FORMAT_VERSION!r}, got {_shown(doc['format_version'])}",
         )
     domain = doc["domain"]
     if not isinstance(domain, list) or not domain:
         raise SchemaError("domain", "expected a non-empty array of numbers")
-    points = [_require_number(x, f"domain[{i}]") for i, x in enumerate(domain)]
+    points = None
+    if set(map(type, domain)) <= {int, float}:  # no bool, str, null or subclass
+        try:
+            points = list(map(float, domain))
+        except OverflowError:  # an int beyond the float range
+            pass
+    if points is None:  # one by one, raising the first coordinate's error
+        points = [_require_number(x, f"domain[{i}]") for i, x in enumerate(domain)]
     depth = doc["depth"]
     if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-        raise SchemaError("depth", f"expected a positive integer, got {depth!r}")
+        raise SchemaError(
+            "depth", f"expected a positive integer, got {_shown(depth)}"
+        )
     elements = doc["elements"]
     if not isinstance(elements, list):
         raise SchemaError("elements", "expected an array")
@@ -130,13 +179,18 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
 
 def parse_instance(text: str) -> PictureFuzzyMultiset:
     """Parse instance JSON text; errors carry positions or field paths."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from None
-    except RecursionError:
-        raise SchemaError("$", "arrays or objects nest too deeply") from None
-    return instance_from_document(doc)
+    with _collector_paused():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InstanceSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+        except RecursionError:
+            raise SchemaError("$", "arrays or objects nest too deeply") from None
+        except ValueError as exc:  # an int literal over CPython's digit limit
+            raise SchemaError("$", str(exc)) from None
+        ms = instance_from_document(doc)
+        del doc  # its lists die here, unseen by the collector
+    return ms
 
 
 def instance_document(ms: PictureFuzzyMultiset) -> dict:
@@ -151,4 +205,5 @@ def instance_document(ms: PictureFuzzyMultiset) -> dict:
 
 def emit_instance(ms: PictureFuzzyMultiset) -> str:
     """Serialise to compact JSON that round-trips floats exactly."""
-    return json.dumps(instance_document(ms), separators=(",", ":"))
+    with _collector_paused():
+        return json.dumps(instance_document(ms), separators=(",", ":"))

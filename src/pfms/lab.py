@@ -34,6 +34,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _shown,
     multiset_from_values,
 )
 from .algebra import complement, convex_combination, equals, intersection, union
@@ -82,15 +83,15 @@ class GeneratorConfig:
             raise BadConfig(f"seed must be an integer, got {self.seed!r}")
         if not 1 <= self.grid_size <= _MAX_GRID_SIZE:
             raise BadConfig(
-                f"grid_size {self.grid_size!r} outside 1..{_MAX_GRID_SIZE}"
+                f"grid_size {_shown(self.grid_size)} outside 1..{_MAX_GRID_SIZE}"
             )
         if not 1 <= self.depth <= 8:
-            raise BadConfig(f"depth {self.depth!r} outside 1..8")
+            raise BadConfig(f"depth {_shown(self.depth)} outside 1..8")
         if self.value_lattice is not None and not (
             0.0 < self.value_lattice <= 1.0
         ):
             raise BadConfig(
-                f"value_lattice step {self.value_lattice!r} outside (0, 1]"
+                f"value_lattice step {_shown(self.value_lattice)} outside (0, 1]"
             )
 
 
@@ -463,7 +464,9 @@ def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
     if ms.size > 7:
         raise TooLarge(f"oracle handles at most 7 grid points, got {ms.size}")
     if step < 0.05 - 1e-12 or step > 1.0:
-        raise TooLarge(f"oracle handles lattice steps in [0.05, 1], got {step!r}")
+        raise TooLarge(
+            f"oracle handles lattice steps in [0.05, 1], got {_shown(step)}"
+        )
     for level in range(1, ms.depth + 1):
         for channel in CHANNELS:
             for v in ms.channel_nodes(channel, level):
@@ -1035,9 +1038,13 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}"
         )
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise BadConfig(f"trials must be a positive integer, got {trials!r}")
+        raise BadConfig(
+            f"trials must be a positive integer, got {_shown(trials)}"
+        )
     if trials > _MAX_TRIALS:
-        raise TooLarge(f"trials must be at most {_MAX_TRIALS}, got {trials}")
+        raise TooLarge(
+            f"trials must be at most {_MAX_TRIALS}, got {_shown(trials, str)}"
+        )
     failures: list[dict] = []
     _SUITES[name](trials, seed, failures.append)
     return SuiteResult(

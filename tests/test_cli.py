@@ -1,9 +1,13 @@
+import copy
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
 from pfms import (
+    PfmsError,
     complement,
     convex_combination,
     emit_instance,
@@ -144,6 +148,10 @@ HOSTILE_INPUTS = {
     ).encode(),
     "deep-nesting": b"[" * 100_000,
     "not-utf8": b'{"format_version": "1\xff"}',
+    # json.loads refuses int literals over CPython's 4,300-digit limit
+    "long-integer": json.dumps(CONVEX_DOC).replace(
+        '"depth": 1', '"depth": 1' + "0" * 5000
+    ).encode(),
 }
 
 
@@ -156,6 +164,8 @@ HOSTILE_INPUTS = {
         ("deep-nesting", "check-convex", 2),
         ("not-utf8", "validate", 2),
         ("not-utf8", "check-convex", 2),
+        ("long-integer", "validate", 1),
+        ("long-integer", "check-convex", 2),
     ],
 )
 def test_hostile_input_keeps_exit_code_contract(
@@ -479,3 +489,143 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Hostile-input fuzz: seeded mutations of the documents above, fed to every
+# command that reads an instance file (``suite`` reads none).
+
+_LONG = "\ue000long"  # stand-ins, replaced in the text once it is written
+_DEEP = "\ue000deep"
+_OPEN = "\ue000open"
+_EXTREMES = [
+    1e308, -1e308, 5e-324, -0.0, 2**63, -1, 10**400, -(10**400),
+    math.inf, -math.inf, math.nan, _LONG,
+]
+_ODD_VALUES = [None, True, False, "0.5", "", [], {}, [[0.1, 0.1, 0.1]], {"depth": 1}]
+_MILD = [0, 0.0, -0.0, 5e-324, 1e-17, 0.1]  # grades that often stay valid
+_COMMANDS = [
+    ["validate", "A"],
+    ["check-convex", "A"],
+    ["check-convex", "A", "--mode", "sampled", "--samples", "20", "--lambdas", "5"],
+    ["cut", "A", "--r", "0.1", "--s", "0.0", "--t", "0.9"],
+    ["cut", "A", "--r", "0.1", "--s", "0.0", "--t", "0.9", "--level", "2"],
+    ["hull", "A"],
+    ["op", "union", "A", "B"],
+    ["op", "intersection", "B", "A"],
+    ["op", "complement", "A"],
+    ["op", "blend", "A", "B", "--lambda", "0.25"],
+    ["jensen", "A", "--points", "0.5,1.5", "--weights", "0.5,0.5"],
+]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _mutated(rng, base):
+    """Document bytes with one to three seeded edits: a dropped, repeated
+    or unknown key, a value of another type, an extreme or a mild number,
+    deep nesting, a bad byte or a cut.  A third of the documents get mild
+    numbers only, so that many of them stay valid."""
+    doc, repeats = copy.deepcopy(base), []
+    mild_only = rng.random() < 1 / 3
+    kinds = ["mild"] if mild_only else [
+        "drop", "repeat", "unknown", "swap", "extreme", "nest", "mild"
+    ]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(kinds)
+        if not isinstance(doc, dict):
+            kind = "swap"
+        if kind == "drop" and doc:
+            del doc[rng.choice(list(doc))]
+        elif kind == "repeat":
+            key = rng.choice(list(base))
+            value = rng.choice([base[key], *_EXTREMES, *_ODD_VALUES])
+            repeats.append((key, value))
+        elif kind == "mild":
+            numbers = [
+                path for path in _paths(doc)
+                if path[:1] == ("elements",) and type(_at(doc, path)) in (int, float)
+            ]
+            if numbers:
+                doc = _replaced(doc, rng.choice(numbers), rng.choice(_MILD))
+        elif kind == "unknown":
+            doc["comment"] = rng.choice(_ODD_VALUES)
+        else:
+            value = {
+                "swap": lambda: copy.deepcopy(rng.choice(_ODD_VALUES)),
+                "extreme": lambda: rng.choice(_EXTREMES),
+                "nest": lambda: rng.choice([_DEEP, _OPEN]),
+            }[kind]()
+            doc = _replaced(doc, rng.choice(list(_paths(doc))), value)
+    text = json.dumps(doc)
+    for key, value in repeats:  # json.loads keeps the last of repeated keys
+        if text.endswith("}"):
+            text = f"{text[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+    text = (
+        text.replace(json.dumps(_LONG), "1" + "0" * 5000)
+        .replace(json.dumps(_DEEP), "[" * 500 + "]" * 500)
+        .replace(json.dumps(_OPEN), "[" * 100_000)
+    )
+    data = text.encode()
+    if not mild_only and rng.random() < 0.2:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + rng.choice([b"\xff", b"\x00", b"\xef\xbb\xbf", b""])
+    return data
+
+
+def _well_formed(data):
+    """Does this file hold a valid instance document?"""
+    try:
+        parse_instance(data.decode("utf-8"))
+    except (UnicodeDecodeError, PfmsError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, base",
+    [("convex", CONVEX_DOC), ("bimodal", BIMODAL_DOC), ("shifted", SHIFTED_DOC),
+     ("dip", DIP_DOC), ("signed-zero", SIGNED_ZERO_DOC)],
+)
+def test_mutated_documents_keep_exit_code_contract(tmp_path, capsys, name, base):
+    rng = random.Random(f"fuzz-{name}")
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(base))
+    first = tmp_path / "first.json"
+    for _ in range(30):
+        data = _mutated(rng, base)
+        first.write_bytes(data)
+        well_formed = _well_formed(data)
+        for command in _COMMANDS:
+            argv = [{"A": str(first), "B": str(second)}.get(a, a) for a in command]
+            code, out, err = run(capsys, *argv)
+            where = f"{argv[:2]} on {data[:120]!r}"
+            assert code in (0, 1, 2), where
+            report = json.loads(out) if out else None  # stdout is JSON or empty
+            if code == 2:
+                assert out == "" and err.startswith("error:"), where
+            elif command[0] == "validate":
+                assert report["valid"] is (code == 0) is well_formed, where
+            else:  # a property was checked, so the document must be valid
+                assert well_formed, where

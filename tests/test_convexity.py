@@ -163,6 +163,11 @@ class TestIsConvexSampled:
         with pytest.raises(TooLarge, match="lambda_samples must be at most 10000"):
             is_convex_sampled(convex_ms, 1, 10_001)
         assert is_convex_sampled(convex_ms, 1, 10_000).convex
+        # counts too long for CPython to print are shown by digit count
+        with pytest.raises(TooLarge, match=r"got <int of 5001 digits>$"):
+            is_convex_sampled(convex_ms, 10**5000, 21)
+        with pytest.raises(PfmsError, match=r"got -<int of 5001 digits>$"):
+            is_convex_sampled(convex_ms, 1, -(10**5000))
 
     def test_peak_memory_does_not_grow_with_samples(self, bimodal_ms):
         def peak(pairs):

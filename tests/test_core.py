@@ -342,6 +342,31 @@ class TestIntsBeyondTheFloatRange:
             CutRegion(((0, 10**400),))
 
 
+class TestIntsTooLongToPrint:
+    """CPython refuses str() and repr() of an int beyond its digit limit
+    (4,300 by default), so messages show such an int by its digit count;
+    every shorter int prints as before."""
+
+    def test_level(self, convex_ms):
+        with pytest.raises(BadLevel) as refused:
+            convex_ms.evaluate(0.5, 10**5000)
+        assert str(refused.value) == "level <int of 5001 digits> outside 1..1"
+        with pytest.raises(BadLevel, match=r"^level -<int of 4302 digits> outside"):
+            convex_ms.channel_nodes("positive", -(10**4301))
+        with pytest.raises(BadLevel, match=r"^level 10{399} outside 1\.\.1$"):
+            convex_ms.evaluate(0.5, 10**399)
+
+    def test_digit_count_at_powers_of_ten(self):
+        from pfms.core import _shown
+
+        for digits in (4301, 4302, 5001, 12345):
+            assert _shown(10 ** (digits - 1)) == f"<int of {digits} digits>"
+            assert _shown(10**digits - 1) == f"<int of {digits} digits>"
+            assert _shown(-(10**digits) + 1) == f"-<int of {digits} digits>"
+        assert _shown(10**300) == repr(10**300)
+        assert _shown(0.5) == "0.5" and _shown(7, str) == "7"
+
+
 class TestCutThresholds:
     def test_validation(self):
         thr = CutThresholds(0.4, 0.15, 0.2)

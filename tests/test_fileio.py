@@ -1,7 +1,10 @@
 import copy
+import gc
 import itertools
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from pfms import (
     InstanceSyntaxError,
     PfmsError,
     PositiveOrderViolation,
+    InvalidGrid,
     SchemaError,
     SumExceedsOne,
     emit_instance,
@@ -62,6 +66,9 @@ class TestParse:
         doc = json.loads(WORKED_DOCUMENT)
         doc["format_version"] = "2"
         with pytest.raises(SchemaError, match="format_version"):
+            instance_from_document(doc)
+        doc["format_version"] = 10**5000  # too long for CPython to print
+        with pytest.raises(SchemaError, match=r"got <int of 5001 digits>$"):
             instance_from_document(doc)
 
     def test_depth_mismatch_points_at_element(self):
@@ -113,6 +120,85 @@ class TestParse:
         doc["depth"] = True
         with pytest.raises(SchemaError, match="depth"):
             instance_from_document(doc)
+        doc["depth"] = -(10**5000)  # too long for CPython to print
+        with pytest.raises(SchemaError) as err:
+            instance_from_document(doc)
+        assert str(err.value) == (
+            "depth: expected a positive integer, got -<int of 5001 digits>"
+        )
+
+    @pytest.mark.parametrize("where", ["depth", "domain", "elements"])
+    def test_integer_literal_over_the_digit_limit(self, where):
+        # json.loads refuses int literals over 4,300 digits with ValueError
+        long = "1" + "0" * 5000
+        text = {
+            "depth": WORKED_DOCUMENT.replace('"depth":1', f'"depth":{long}'),
+            "domain": WORKED_DOCUMENT.replace('"domain":[0,', f'"domain":[{long},'),
+            "elements": WORKED_DOCUMENT.replace("[[[0.2,", f"[[[{long},"),
+        }[where]
+        with pytest.raises(SchemaError) as err:
+            parse_instance(text)
+        assert err.value.path == "$"
+        assert "5001 digits" in str(err.value)
+
+
+# Domain coordinates are checked with one type scan; any bad coordinate is
+# re-checked one by one.  Class and message as recorded before the scan.
+_DOMAIN_ERRORS = {
+    "true": ([0, True, 2], SchemaError, "domain[1]: expected a number, got True"),
+    "string": ([0, 1, "two"], SchemaError, "domain[2]: expected a number, got 'two'"),
+    "null": ([None, 1, 2], SchemaError, "domain[0]: expected a number, got None"),
+    "400 digits": ([0, 1, int("9" * 400)], SchemaError,
+                   "domain[2]: integer too large for a float"),
+    "400 digits first": ([-int("9" * 400), "x", 2], SchemaError,
+                         "domain[0]: integer too large for a float"),
+    "nan": ([0, math.nan, 2], InvalidGrid, "domain: grid coordinate nan is not finite"),
+    "repeated": ([0, 1, 1], InvalidGrid,
+                 "domain: grid coordinates must increase strictly: 1.0 then 1.0"),
+}
+
+
+class TestDomain:
+    @pytest.mark.parametrize("name", list(_DOMAIN_ERRORS))
+    def test_errors_keep_class_message_and_path(self, name):
+        domain, cls, message = _DOMAIN_ERRORS[name]
+        doc = json.loads(WORKED_DOCUMENT)
+        doc["domain"] = domain
+        with pytest.raises(PfmsError) as err:
+            instance_from_document(doc)
+        assert (type(err.value), str(err.value)) == (cls, message)
+
+    def test_bad_coordinate_reported_before_bad_element(self):
+        doc = json.loads(WORKED_DOCUMENT)
+        doc["domain"] = [0, "x", 2]
+        doc["elements"][2][0][0] = True
+        with pytest.raises(SchemaError) as err:
+            instance_from_document(doc)
+        assert str(err.value) == "domain[1]: expected a number, got 'x'"
+
+    def test_ints_floats_and_subclasses_give_the_same_grid(self):
+        class Coordinate(float):
+            pass
+
+        doc = json.loads(WORKED_DOCUMENT)
+        for domain in ([0, 1, 2], [0.0, 1.0, 2.0], [Coordinate(0), 1, 2.0]):
+            doc["domain"] = domain
+            points = instance_from_document(doc).grid.points
+            assert [type(x) for x in points] == [float] * 3
+            assert points == (0.0, 1.0, 2.0)
+
+
+_AWKWARD_MS = multiset_from_values(
+    (0.0, 1.0 / 3.0, 0.7000000000000001),
+    [
+        [[1.0 / 7.0, 0.1 + 0.2, 1e-17]],
+        [[0.5500000000000001, 0.0, 0.3]],
+        [[2**-30, 1.0 - 2**-30, 0.0]],
+    ],
+)
+_SIGNED_ZERO_MS = multiset_from_values(
+    (-1.0, -0.0, 1.0), [[[0.3, -0.0, 0.2]], [[-0.0, 0.1, 0.0]], [[0.2, 0.0, -0.0]]]
+)
 
 
 class TestEmit:
@@ -128,15 +214,7 @@ class TestEmit:
             assert parse_instance(emit_instance(ms)) == ms
 
     def test_round_trip_awkward_floats(self):
-        ms = multiset_from_values(
-            (0.0, 1.0 / 3.0, 0.7000000000000001),
-            [
-                [[1.0 / 7.0, 0.1 + 0.2, 1e-17]],
-                [[0.5500000000000001, 0.0, 0.3]],
-                [[2**-30, 1.0 - 2**-30, 0.0]],
-            ],
-        )
-        assert parse_instance(emit_instance(ms)) == ms
+        assert parse_instance(emit_instance(_AWKWARD_MS)) == _AWKWARD_MS
 
     def test_round_trip_generated(self):
         for seed in range(10):
@@ -147,6 +225,123 @@ class TestEmit:
         text = emit_instance(convex_ms)
         assert "\n" not in text and ": " not in text
         assert json.loads(text) == instance_document(convex_ms)
+
+
+# ---------------------------------------------------------------------------
+# Parse and emit pause CPython's cyclic collector and restore its state.
+
+_FAILING_TEXTS = {
+    "syntax": (InstanceSyntaxError, '{"format_version": "1",'),
+    "too deep": (SchemaError, "[" * 100_000),
+    "schema": (SchemaError, WORKED_DOCUMENT.replace('"depth":1', '"depth":0')),
+    "grade": (SumExceedsOne,
+              WORKED_DOCUMENT.replace("[[0.2,0.1,0.5]]", "[[0.6,0.3,0.3]]")),
+    "long integer": (SchemaError,
+                     WORKED_DOCUMENT.replace('"depth":1', '"depth":1' + "0" * 5000)),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after the test, whatever it did."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(scope="module")
+def large_ms():
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 0.3, size=(20_000, 2, 3))
+    values[:, :, 0] = -np.sort(-values[:, :, 0], axis=1)  # positives non-increasing
+    return multiset_from_values(np.arange(20_000.0).tolist(), values)
+
+
+def _collections_during(fn):
+    """Generations of the collections that start while ``fn`` runs."""
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()  # so that no collection is already due
+    gc.callbacks.append(note)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(note)
+    return starts
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored_on_success(self, collector_state, convex_ms, enabled):
+        (gc.enable if enabled else gc.disable)()
+        text = emit_instance(convex_ms)
+        assert gc.isenabled() is enabled
+        assert parse_instance(text) == convex_ms
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("name", list(_FAILING_TEXTS))
+    def test_state_restored_on_every_error(self, collector_state, name, enabled):
+        cls, text = _FAILING_TEXTS[name]
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(cls):
+            parse_instance(text)
+        assert gc.isenabled() is enabled
+
+    def test_overlapping_calls_in_threads_leave_it_on(self, collector_state, deep_ms):
+        # the switch is process-wide: a pause per call, each restoring the
+        # state it saw on entry, can leave the collector off after
+        # overlapping calls (one thread sees it off while another pauses)
+        gc.enable()
+        text = emit_instance(deep_ms)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(200):
+                    assert parse_instance(emit_instance(deep_ms)) == deep_ms
+                    parse_instance(text)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert gc.isenabled()
+
+    def test_no_collection_during_large_parse_or_emit(self, collector_state, large_ms):
+        text = emit_instance(large_ms)
+        assert _collections_during(lambda: emit_instance(large_ms)) == []
+        assert _collections_during(lambda: parse_instance(text)) == []
+        # the same work unpaused does start collections, so the check bites
+        assert _collections_during(lambda: json.dumps(instance_document(large_ms)))
+
+    @pytest.mark.parametrize(
+        "ms",
+        [gen_pfms(GeneratorConfig(seed=3, grid_size=9, depth=4)), _AWKWARD_MS,
+         _SIGNED_ZERO_MS],
+        ids=["generated", "awkward", "signed-zero"],
+    )
+    def test_emit_is_compact_json_dumps(self, ms):
+        text = emit_instance(ms)
+        assert text == json.dumps(instance_document(ms), separators=(",", ":"))
+        assert parse_instance(text) == ms
 
 
 # ---------------------------------------------------------------------------

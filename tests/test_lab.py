@@ -44,6 +44,17 @@ class TestGeneratorConfig:
         with pytest.raises(BadConfig):
             GeneratorConfig(**kwargs)
 
+    def test_ints_too_long_to_print_are_refused_by_digit_count(self):
+        with pytest.raises(BadConfig) as refused:
+            GeneratorConfig(seed=0, grid_size=10**5000, depth=1)
+        assert str(refused.value) == "grid_size <int of 5001 digits> outside 1..64"
+        with pytest.raises(BadConfig, match=r"^depth -<int of 5001 digits> outside"):
+            GeneratorConfig(seed=0, grid_size=4, depth=-(10**5000))
+        with pytest.raises(BadConfig, match=r"^value_lattice step <int of 5001 digits>"):
+            GeneratorConfig(seed=0, grid_size=4, depth=1, value_lattice=10**5000)
+        with pytest.raises(BadConfig, match=r"^grid_size 10{400} outside 1\.\.64$"):
+            GeneratorConfig(seed=0, grid_size=10**400, depth=1)
+
 
 class TestGenPfms:
     def test_determinism(self):
@@ -246,6 +257,13 @@ class TestSuites:
         # refused before a single trial runs
         with pytest.raises(TooLarge, match="trials must be at most 100000, got 100001"):
             run_suite("jensen", 100_001)
+        with pytest.raises(TooLarge) as refused:
+            run_suite("jensen", 10**5000)
+        assert str(refused.value) == (
+            "trials must be at most 100000, got <int of 5001 digits>"
+        )
+        with pytest.raises(BadConfig, match=r"got -<int of 5001 digits>$"):
+            run_suite("jensen", -(10**5000))
 
     @pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "hull-theorem-discrepancy"])
     def test_property_suites_pass(self, name):
