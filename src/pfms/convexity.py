@@ -9,16 +9,27 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-The exact check and the hull envelopes take running maxima of the value
-array from both ends; cuts solve all segment crossings at once and
-intersect the three channel regions as interval unions.  Multiplying by
-CHANNEL_SIGNS makes the negative channel quasi-concave like the others.
+The exact check and the hull envelopes scan a channel-major copy of the
+grade array, shape (levels, 3, points), made in one numpy call with the
+negative channel multiplied by its CHANNEL_SIGNS entry, so that every
+channel is quasi-concave when convex and every (level, channel) column
+is one contiguous row.  Both take running maxima along the rows from
+either end, and the exact check reduces its dip flags per level over
+the trailing axes; numpy runs scans and reductions fastest along the
+contiguous axis.  Each column sees the operations of a scan down the
+points axis in the same order, so results are bit-identical to one, ties
+between 0.0 and -0.0 included.  Stored grades keep their (points,
+levels, 3) form: the copy is a temporary, and the hull returns to that
+form with one copy.  Cuts solve all segment crossings at once and
+intersect the three channel regions as interval unions.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
 points), evaluates a block on every level in one array pass with the
-float expressions of PictureFuzzyMultiset.evaluate, and compares all
-channels at once, so memory does not grow with the number of pairs.  Its
+float expressions of PictureFuzzyMultiset.evaluate, negates the negative
+channel in place and compares all channels at once, reducing per level
+only in a block with a violation, so memory does not grow with the
+number of pairs.  Its
 report is the one a scalar loop over pairs, levels, lambdas and channels
 gives, witness and errors included.  Sample counts above
 _MAX_PAIR_SAMPLES or _MAX_LAMBDA_SAMPLES raise TooLarge.
@@ -138,11 +149,11 @@ class GradeField:
     @classmethod
     def from_envelopes(cls, grid: DomainGrid, values: np.ndarray) -> "GradeField":
         """Field of an envelope array, each triple flagged against the sum bound."""
-        values = np.array(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64, order="C")
         mask = (values[..., 0] + values[..., 1]) + values[..., 2] <= 1.0 + TOL_SUM
-        values.flags.writeable = False
-        mask.flags.writeable = False
-        return cls(grid=grid, values=values, mask=mask)
+        values.setflags(write=False)
+        mask.setflags(write=False)
+        return cls(grid, values, mask)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradeField):
@@ -204,12 +215,12 @@ def is_antiunimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
 
 
 def _dips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per interior index i along axis 0, the deficit ref - values[i] and
-    the reference ref = min(max values[:i], max values[i + 1:])."""
-    left = np.maximum.accumulate(values[:-2], axis=0)
-    right = np.maximum.accumulate(values[:1:-1], axis=0)[::-1]
+    """Per interior index i along the last axis, the deficit ref - values[i]
+    and the reference ref = min(max values[:i], max values[i + 1:])."""
+    left = np.maximum.accumulate(values[..., :-2], axis=-1)
+    right = np.maximum.accumulate(values[..., :1:-1], axis=-1)[..., ::-1]
     ref = np.minimum(left, right)
-    return ref - values[1:-1], ref
+    return ref - values[..., 1:-1], ref
 
 
 def _worst_dip(values: np.ndarray, tol: float) -> tuple[int, int, int] | None:
@@ -232,6 +243,17 @@ def _worst_dip(values: np.ndarray, tol: float) -> tuple[int, int, int] | None:
 # exact and sampled convexity checks
 
 
+_ROW_SIGNS = CHANNEL_SIGNS[:, None]  # one sign per row of a channel-major array
+
+
+def _channel_major(values: np.ndarray) -> np.ndarray:
+    """Fresh C-ordered (levels, 3, points) copy of an (points, levels, 3)
+    grade array with the negative channel negated, so that every channel
+    reads "larger is better" and each (level, channel) column is one
+    contiguous row."""
+    return np.multiply(values.transpose(1, 2, 0), _ROW_SIGNS, order="C")
+
+
 def _node_witness(
     ms: PictureFuzzyMultiset, k: int, c: int, left: int, mid: int, right: int
 ) -> Witness:
@@ -251,16 +273,16 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     this finite test decides the full segment definition.  The witness, if
     any, is the deepest offending node of the first failing level and
     channel, with its nearest adequate flanks."""
-    signed = ms.values * CHANNEL_SIGNS
+    signed = _channel_major(ms.values)
     deficit, _ = _dips(signed)
     bad = deficit > TOL_CMP
-    level_bad = bad.any(axis=(0, 2))
+    level_bad = bad.any(axis=(1, 2)).tolist()
     witness: Witness | None = None
-    if level_bad.any():
-        k = int(level_bad.argmax())
-        c = int(bad[:, k].any(axis=0).argmax())
-        witness = _node_witness(ms, k, c, *_worst_dip(signed[:, k, c], TOL_CMP))
-    levels = tuple((~level_bad).tolist())
+    if True in level_bad:
+        k = level_bad.index(True)
+        c = int(bad[k].any(axis=-1).argmax())
+        witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP))
+    levels = tuple([not b for b in level_bad])
     return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
 
 
@@ -319,12 +341,15 @@ def is_convex_sampled(
             order = ok.transpose(0, 2, 1)
             p, k, j = np.unravel_index(order.argmin(), order.shape)
             ms.evaluate(float(coords[p, j]), int(k) + 1)  # raises its error
-        signed = grades * CHANNEL_SIGNS
+        signed = grades  # the negative channel negated in place
+        np.negative(signed[..., 2], out=signed[..., 2])
         # min(gx, gy) on the signed channels: max for the negative one
         rhs = np.where(signed[:, 1] < signed[:, 0], signed[:, 1], signed[:, 0])
         bad = signed[:, 2:] < rhs[:, None] - TOL_CMP
+        if not bad.any():
+            continue
         level_ok &= ~bad.any(axis=(0, 1, 3))
-        if witness is None and bad.any():
+        if witness is None:
             order = bad.transpose(0, 2, 1, 3)  # pair, level, lambda, channel
             p, k, j, c = np.unravel_index(order.argmax(), order.shape)
             witness = Witness(
@@ -333,7 +358,7 @@ def is_convex_sampled(
                 lam=lams[j],
                 level=int(k) + 1,
                 channel=CHANNELS[c],
-                lhs=float(grades[p, j + 2, k, c]),
+                lhs=float(signed[p, j + 2, k, c] * CHANNEL_SIGNS[c]),
                 rhs=float(rhs[p, k, c] * CHANNEL_SIGNS[c]),
             )
     return ConvexityReport(
@@ -440,14 +465,14 @@ def jensen_check(
 
 
 def _majorant(values: np.ndarray) -> np.ndarray:
-    """Least unimodal majorant along axis 0.
+    """Least unimodal majorant along the last axis.
 
     At each index, any unimodal majorant must reach the running maximum
     from whichever side its peak lies on, so the pointwise least one is
     the smaller of the two running maxima.  On ties (0.0 against -0.0) the
     running maxima keep the current value and the minimum the left one."""
-    left = np.maximum.accumulate(values, axis=0)
-    right = np.maximum.accumulate(values[::-1], axis=0)[::-1]
+    left = np.maximum.accumulate(values, axis=-1)
+    right = np.maximum.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
     return np.where(right < left, right, left)
 
 
@@ -469,8 +494,9 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
     flagged invalid rather than repaired."""
-    signed = ms.values * CHANNEL_SIGNS
-    return GradeField.from_envelopes(ms.grid, _majorant(signed) * CHANNEL_SIGNS)
+    hull = _majorant(_channel_major(ms.values))
+    hull *= _ROW_SIGNS
+    return GradeField.from_envelopes(ms.grid, hull.transpose(2, 0, 1))
 
 
 def hull_membership_test(

@@ -19,7 +19,11 @@ Point queries return GradeTriple.  In DomainGrid.locate a Python float
 inside the widened ends, and in GradeTriple three in-range Python floats
 with a sum in bound, pass with one chained comparison; any other input
 takes the full checks, so results, conversions and errors are those of
-the checks alone.
+the checks alone.  GradeTriple is a frozen slots dataclass with a
+hand-written __init__ that runs these checks and stores the fields
+through the slots' member descriptors, not through the frozen
+__setattr__; evaluate checks a plain int level inline and leaves
+anything else to level_index.
 
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
@@ -137,7 +141,7 @@ def check_unit(value: float, label: str = "value") -> float:
     return v
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GradeTriple:
     """One membership triple: positive, neutral and negative degrees.
 
@@ -150,28 +154,28 @@ class GradeTriple:
     neutral: float
     negative: float
 
-    def __post_init__(self) -> None:
-        p, n, g = self.positive, self.neutral, self.negative
+    def __init__(self, positive: float, neutral: float, negative: float) -> None:
+        p, n, g = positive, neutral, negative
         # Three floats in range with a sum in bound are stored as given
         # (NaN fails every comparison); anything else takes the checks
         # below, which convert it or raise.
-        if (
+        if not (
             type(p) is float and type(n) is float and type(g) is float
             and _UNIT_LO <= p <= _UNIT_HI and _UNIT_LO <= n <= _UNIT_HI
             and _UNIT_LO <= g <= _UNIT_HI and p + n + g <= _SUM_CAP
         ):
-            return
-        p = check_unit(self.positive, "positive")
-        n = check_unit(self.neutral, "neutral")
-        g = check_unit(self.negative, "negative")
-        object.__setattr__(self, "positive", p)
-        object.__setattr__(self, "neutral", n)
-        object.__setattr__(self, "negative", g)
-        total = p + n + g
-        if total > _SUM_CAP:
-            raise SumExceedsOne(
-                f"positive+neutral+negative = {total!r} exceeds 1"
-            )
+            p = check_unit(positive, "positive")
+            n = check_unit(neutral, "neutral")
+            g = check_unit(negative, "negative")
+            total = p + n + g
+            if total > _SUM_CAP:
+                raise SumExceedsOne(
+                    f"positive+neutral+negative = {total!r} exceeds 1"
+                )
+        # the slots' own descriptors store past the frozen __setattr__
+        _set_positive(self, p)
+        _set_neutral(self, n)
+        _set_negative(self, g)
 
     @property
     def refusal(self) -> float:
@@ -186,6 +190,11 @@ class GradeTriple:
 
     def channel(self, name: str) -> float:
         return self.as_tuple()[channel_index(name)]
+
+
+_set_positive = GradeTriple.__dict__["positive"].__set__
+_set_neutral = GradeTriple.__dict__["neutral"].__set__
+_set_negative = GradeTriple.__dict__["negative"].__set__
 
 
 def channel_index(name: str) -> int:
@@ -443,7 +452,11 @@ class PictureFuzzyMultiset:
 
     def evaluate(self, x: float, level: int) -> GradeTriple:
         """Interpolated triple at coordinate ``x`` on a 1-based level."""
-        k = level_index(level, self.values.shape[1])
+        depth = self.values.shape[1]
+        if type(level) is int and 0 < level <= depth:
+            k = level - 1
+        else:
+            k = level_index(level, depth)  # an int subclass passes, the rest raise
         i, t = self.grid.locate(x)
         if t is None:
             return GradeTriple(*self.values[i, k].tolist())
@@ -470,10 +483,13 @@ class PictureFuzzyMultiset:
         v0, v1 = self.values[left], self.values[i]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = ((x - pts[left]) / (pts[i] - pts[left]))[..., None, None]
-            grades = np.where(node, v1, (1.0 - t) * v0 + t * v1)
-            in_range = (grades >= -TOL_CMP) & (grades <= 1.0 + TOL_CMP)  # NaN is out
-            total = (grades[..., 0] + grades[..., 1]) + grades[..., 2]
-        ok = in_range.all(axis=-1) & (total <= 1.0 + TOL_SUM) & placed[..., None]
+            grades = (1.0 - t) * v0
+            grades += t * v1
+            np.copyto(grades, v1, where=node)
+            ok = (grades[..., 0] + grades[..., 1]) + grades[..., 2] <= _SUM_CAP
+            for c in range(3):  # NaN is out of range
+                ok &= (grades[..., c] >= _UNIT_LO) & (grades[..., c] <= _UNIT_HI)
+        ok &= placed[..., None]
         return grades, ok
 
 

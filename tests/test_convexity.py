@@ -2,11 +2,14 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfms import (
+    CHANNELS,
     TOL_CMP,
+    TOL_SUM,
     BadLevel,
     CutThresholds,
     InvalidGrid,
@@ -246,6 +249,10 @@ _EDGE_TRIPLES = (
 )
 
 
+# Channel values whose dips below 0.3 lie inside, at and past TOL_CMP.
+_BAND = (0.3, 0.3 - TOL_CMP / 2, 0.3 - TOL_CMP, 0.3 - 2 * TOL_CMP, 0.0, -0.0)
+
+
 @st.composite
 def _signed(draw, value):
     return -0.0 if value == 0 and draw(st.booleans()) else value
@@ -259,6 +266,8 @@ def _triples(draw, mode):
         return (p, n, draw(st.floats(0.0, max(0.0, 1.0 - p - n))))
     if mode == "signed-zeros":  # zero ties of either sign on every channel
         return tuple(draw(st.sampled_from((0.0, -0.0, 0.25))) for _ in range(3))
+    if mode == "band":  # plateaus with dips around TOL_CMP deep
+        return tuple(draw(st.sampled_from(_BAND)) for _ in range(3))
     a = draw(st.integers(0, 8))
     b = draw(st.integers(0, 8 - a))
     c = draw(st.integers(0, 8 - a - b))
@@ -318,6 +327,122 @@ class TestSampledDifferential:
             # small blocks put a pair's successors in later blocks
             patch.setattr(convexity, "_BLOCK_POINTS", block)
             assert _outcome(is_convex_sampled, ms, pairs, lambdas, seed) == expected
+
+    def test_blocks_after_the_witness_still_clear_level_flags(self):
+        # with seed 7 the first pair fails level 1 only and a later pair
+        # level 2, which one pair per block puts in a block of its own
+        ms = multiset_from_values(
+            [0.0, 1.0, 2.0, 3.0, 4.0],
+            [[[0.5, 0.0, 0.0], [0.1, 0.0, 0.0]], [[0.1, 0.0, 0.0], [0.1, 0.0, 0.0]],
+             [[0.5, 0.0, 0.0], [0.1, 0.0, 0.0]], [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]],
+             [[0.5, 0.0, 0.0], [0.1, 0.0, 0.0]]],
+        )
+        assert _reference_sampled(ms, 1, 5, 7).levels == (False, True)
+        expected = _outcome(_reference_sampled, ms, 12, 5, 7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convexity, "_BLOCK_POINTS", 1)
+            assert _outcome(is_convex_sampled, ms, 12, 5, 7) == expected
+        assert is_convex_sampled(ms, 12, 5, 7).levels == (False, False)
+
+
+def _reference_dip(seq):
+    """(left, mid, right) of the deepest interior dip of a list deeper than
+    TOL_CMP, ``mid`` the first of the deepest, ``left``/``right`` its
+    nearest flanks reaching the reference; or None."""
+    best = None
+    for i in range(1, len(seq) - 1):
+        ref = min(max(seq[:i]), max(seq[i + 1 :]))
+        deficit = ref - seq[i]
+        if deficit > TOL_CMP and (best is None or deficit > best[0]):
+            best = (deficit, i, ref)
+    if best is None:
+        return None
+    _, mid, ref = best
+    left = max(j for j in range(mid) if seq[j] >= ref)
+    right = min(j for j in range(mid + 1, len(seq)) if seq[j] >= ref)
+    return left, mid, right
+
+
+def _reference_exact(ms):
+    """The exact check as a loop over levels and channels of Python lists:
+    the deepest dip of the first failing level and channel."""
+    xs = ms.grid.points
+    levels, witness = [], None
+    for k in range(ms.depth):
+        level_ok = True
+        for c, channel in enumerate(CHANNELS):
+            nodes = ms.values[:, k, c].tolist()
+            sign = -1.0 if channel == "negative" else 1.0
+            dip = _reference_dip([sign * v for v in nodes])
+            if dip is None:
+                continue
+            level_ok = False
+            if witness is None:
+                left, mid, right = dip
+                x, y = xs[left], xs[right]
+                ends = (nodes[left], nodes[right])
+                rhs = max(ends) if channel == "negative" else min(ends)
+                witness = convexity.Witness(
+                    x, y, (xs[mid] - x) / (y - x), k + 1, channel, nodes[mid], rhs
+                )
+        levels.append(level_ok)
+    return convexity.ConvexityReport(witness is None, tuple(levels), witness)
+
+
+def _running_max(seq):
+    """Running maxima of a list; a tie (0.0 against -0.0) takes the
+    current value, as the envelope kernel documents."""
+    out, best = [], seq[0]
+    for v in seq:
+        best = v if v >= best else best
+        out.append(best)
+    return out
+
+
+def _reference_hull(ms):
+    """Hull values and sum-bound mask per (level, channel) column: the
+    smaller of the two running maxima of the signed column, the left one
+    on ties."""
+    values = np.empty_like(ms.values)
+    for k in range(ms.depth):
+        for c, channel in enumerate(CHANNELS):
+            sign = -1.0 if channel == "negative" else 1.0
+            signed = [sign * v for v in ms.values[:, k, c].tolist()]
+            left = _running_max(signed)
+            right = _running_max(signed[::-1])[::-1]
+            values[:, k, c] = [sign * (r if r < lt else lt) for lt, r in zip(left, right)]
+    mask = [[(p + n) + g <= 1.0 + TOL_SUM for p, n, g in level] for level in values.tolist()]
+    return values, mask
+
+
+@st.composite
+def _exact_cases(draw):
+    m = draw(st.sampled_from((1, 2, 3, 5, 8)))
+    depth = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        points = [float(i) for i in range(m)]
+    else:
+        steps = draw(st.lists(st.floats(0.01, 3.0), min_size=m - 1, max_size=m - 1))
+        points = [draw(st.floats(-5.0, 5.0))]
+        for step in steps:
+            points.append(points[-1] + step)
+    mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "band")))
+    values = [draw(st.lists(_triples(mode), min_size=depth, max_size=depth)) for _ in range(m)]
+    # levels sorted by positive degree keep that channel nonincreasing
+    values = [sorted(levels, key=lambda t: -t[0]) for levels in values]
+    return multiset_from_values(points, values)
+
+
+class TestExactDifferential:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_exact_cases())
+    def test_report_and_hull_bits_match_scalar_references(self, ms):
+        assert _outcome(is_convex_exact, ms) == _outcome(_reference_exact, ms)
+        hull = convex_hull(ms)
+        values, mask = _reference_hull(ms)
+        assert hull.values.dtype == values.dtype and hull.values.shape == values.shape
+        assert hull.values.tobytes() == values.tobytes()
+        assert hull.mask.dtype == bool and hull.mask.tolist() == mask
 
 
 class TestCut:

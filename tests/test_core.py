@@ -1,6 +1,8 @@
 import ast
+import copy
 import dataclasses
 import math
+import pickle
 import struct
 from pathlib import Path
 
@@ -67,6 +69,22 @@ class TestGradeTriple:
         assert t.positive > 1.0
         with pytest.raises(OutOfUnitInterval):
             GradeTriple(1.0 + 1e-8, 0.0, 0.0)
+
+    def test_frozen_dataclass_behaviour(self):
+        t = GradeTriple(positive=0.5, neutral=0.25, negative=0.125)
+        assert [f.name for f in dataclasses.fields(t)] == ["positive", "neutral", "negative"]
+        assert repr(t) == "GradeTriple(positive=0.5, neutral=0.25, negative=0.125)"
+        assert t == GradeTriple(0.5, 0.25, 0.125) and hash(t) == hash(GradeTriple(0.5, 0.25, 0.125))
+        assert t != (0.5, 0.25, 0.125) and not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.positive = 0.25
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.neutral
+        assert dataclasses.replace(t, negative=0) == GradeTriple(0.5, 0.25, 0.0)
+        with pytest.raises(SumExceedsOne):
+            dataclasses.replace(t, negative=0.5)
+        with pytest.raises(TypeError):
+            GradeTriple(0.5, 0.25)
 
     def test_channel_accessor(self):
         t = GradeTriple(0.3, 0.2, 0.1)
@@ -415,6 +433,39 @@ class TestCutRegion:
         b = CutRegion(((1.0, 4.0),))
         assert a.intersect(b).intervals == ((1.0, 2.0), (3.0, 4.0))
         assert a.intersect(CutRegion(())).is_empty
+
+
+def _round_trip_objects():
+    ms = multiset_from_values(
+        [-1.0, -0.0, 0.5, 2.0],
+        [[[0.5, 0.1, 0.2], [0.25, -0.0, 0.5]], [[0.2, 0.1, 0.6], [0.125, 0.0, 0.75]],
+         [[0.6, 0.1, 0.1], [0.5, 0.25, 0.25]], [[0.1, 0.3, 0.4], [0.0, 0.5, 0.5]]],
+    )
+    return {
+        "multiset": ms,
+        "grade-triple": ms.evaluate(0.25, 2),
+        "grade-field": pfms.convex_hull(ms),
+        "convexity-report": pfms.is_convex_exact(ms),
+        "sampled-report": pfms.is_convex_sampled(ms, pair_samples=0),
+        "jensen-report": pfms.jensen_check(ms, [-1.0, 2.0], [0.5, 0.5], 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_round_trip_objects()))
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_pickle_and_deepcopy_round_trip(name, how):
+    obj = _round_trip_objects()[name]
+    back = pickle.loads(pickle.dumps(obj)) if how == "pickle" else copy.deepcopy(obj)
+    assert type(back) is type(obj) and back == obj and back is not obj
+    assert repr(back) == repr(obj)
+    for attr in ("values", "mask"):
+        if hasattr(obj, attr):
+            array, copied = getattr(obj, attr), getattr(back, attr)
+            assert copied.dtype == array.dtype and copied.tobytes() == array.tobytes()
+    if isinstance(obj, GradeTriple):
+        assert hash(back) == hash(obj)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.positive = 0.0
 
 
 def test_all_lists_exactly_the_imported_public_names():
