@@ -155,6 +155,10 @@ class GradeField:
         mask.setflags(write=False)
         return cls(grid, values, mask)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild from the envelopes: both arrays stay read-only
+        return GradeField.from_envelopes, (self.grid, self.values)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradeField):
             return NotImplemented

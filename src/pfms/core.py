@@ -9,12 +9,17 @@ channel extends by linear interpolation, so all derived quantities stay
 piecewise linear and can be computed exactly.
 
 An instance keeps its grades in one read-only (points, levels, 3) float64
-array, checked in one vectorised pass with the float expressions of the
-scalar GradeTriple and GradeSequence checks; those re-run on the first
-bad point to raise their error.  A grid checks its coordinates in a
-scalar loop and keeps them as a tuple and as one read-only float64
-array, plus its ends and the ends widened by the boundary slack, so
-array code and point queries read them instead of rebuilding them.
+array, checked with the float expressions of the scalar GradeTriple and
+GradeSequence checks; those re-run on the first bad point to raise their
+error.  An array of at most _SCALAR_TRIPLES (32) triples is checked in
+one Python pass over its nested lists, a larger one in whole-array numpy
+passes, whose fixed cost would outweigh the work in the small instances
+the lab builds by the thousand (see first_invalid_point).  Pickle and
+deepcopy rebuild an instance or grid through its constructor, so its
+arrays stay read-only.  A grid checks its coordinates in a scalar loop
+and keeps them as a tuple and as one read-only float64 array, plus its
+ends and the ends widened by the boundary slack, so array code and point
+queries read them instead of rebuilding them.
 Point queries return GradeTriple.  In DomainGrid.locate a Python float
 inside the widened ends, and in GradeTriple three in-range Python floats
 with a sum in bound, pass with one chained comparison; any other input
@@ -292,6 +297,10 @@ class DomainGrid:
         object.__setattr__(self, "lo_reach", max(lo - slack, -top))
         object.__setattr__(self, "hi_reach", min(hi + slack, top))
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the checks: coords stays read-only
+        return DomainGrid, (self.points,)
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -371,10 +380,43 @@ def real_array(values) -> np.ndarray | None:
     return None
 
 
+# The most triples (points times levels) first_invalid_point checks in one
+# Python pass; see its docstring.  Not a setting: it rests on the crossover
+# table in CHANGES.md.
+_SCALAR_TRIPLES = 32
+
+
 def first_invalid_point(arr: np.ndarray) -> int:
     """Index of the first point of an (m, depth, 3) array that fails the
     range, sum or level-order check, or m when none does.  The float
-    expressions are those of check_unit, GradeTriple and GradeSequence."""
+    expressions are those of check_unit, GradeTriple and GradeSequence.
+
+    An array of at most _SCALAR_TRIPLES triples is checked in one Python
+    pass over its nested lists, a larger one by _first_invalid_vectorised;
+    the two give the same index.  The pass costs about 0.25-0.35 us a
+    triple, the dozen numpy calls a fixed 12-16 us up to 128 triples, so
+    the pass is the cheaper below a crossover measured at 32-40 triples at
+    depth 1 and 56-80 at depths 2-8.  The cutoff sits at or below it at
+    every depth and covers 98.6% of the lab suites' builds (the largest
+    has 64 triples)."""
+    m, depth = arr.shape[:2]
+    if m * depth > _SCALAR_TRIPLES:
+        return _first_invalid_vectorised(arr)
+    lo, hi, cap, tol = _UNIT_LO, _UNIT_HI, _SUM_CAP, TOL_CMP
+    for i, levels in enumerate(arr.tolist()):
+        prev = math.inf  # no bound on the first level
+        for p, n, g in levels:  # NaN fails every comparison
+            if not (
+                lo <= p <= hi and lo <= n <= hi and lo <= g <= hi
+                and (p + n) + g <= cap and p <= prev + tol
+            ):
+                return i
+            prev = p
+    return m
+
+
+def _first_invalid_vectorised(arr: np.ndarray) -> int:
+    """first_invalid_point in whole-array passes, for any size."""
     in_range = (arr >= -TOL_CMP) & (arr <= 1.0 + TOL_CMP)  # NaN is out
     end = len(arr) if in_range.all() else int(in_range.all(axis=(1, 2)).argmin())
     head = arr[:end]  # finite, so the sums below cannot overflow
@@ -393,7 +435,7 @@ def _grade_array(values, size: int) -> np.ndarray:
     arr = real_array(values)
     bad = 0 if arr is None else first_invalid_point(arr)
     # raises at the first bad point; runs over all points only if arr is None
-    grades = [_point_grades(per_point) for per_point in values[bad:]]
+    grades = [_point_grades(p) for p in values[bad:]] if bad < len(values) else ()
     if len(values) != size:
         raise LengthMismatch(f"{size} grid points but {len(values)} grade sequences")
     if arr is None:
@@ -401,7 +443,7 @@ def _grade_array(values, size: int) -> np.ndarray:
         if len(depths) > 1:
             raise RaggedDepth(f"level counts differ across points: {sorted(depths)}")
         arr = np.array([[t.as_tuple() for t in seq] for seq in grades], dtype=np.float64)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -419,6 +461,10 @@ class PictureFuzzyMultiset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _grade_array(self.values, len(self.grid)))
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the checks: values stays read-only
+        return PictureFuzzyMultiset, (self.grid, self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PictureFuzzyMultiset):

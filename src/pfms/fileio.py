@@ -16,10 +16,10 @@ representations (at most 17 significant digits), so parse(emit(ms))
 reproduces every float bit for bit.
 
 Parsing is ``json.loads`` plus one type scan of ``domain`` and one
-vectorised check of ``elements``; a bad domain or table is re-checked entry
-by entry from its first bad entry, so errors carry paths such as
-``domain[i]`` or ``elements[i][k][j]``.  Emitting is ``values.tolist()``
-plus ``json.dumps``.
+check of ``elements`` as an array (``core.first_invalid_point``); a bad
+domain or table is re-checked entry by entry from its first bad entry, so
+errors carry paths such as ``domain[i]`` or ``elements[i][k][j]``.
+Emitting is ``values.tolist()`` plus ``json.dumps``.
 
 Both run with CPython's cyclic garbage collector paused.  A document of
 m points holds about m * (depth + 1) lists, all freed by reference counting

@@ -1,6 +1,8 @@
 import ast
 import copy
 import dataclasses
+import itertools
+import json
 import math
 import pickle
 import struct
@@ -29,9 +31,12 @@ from pfms import (
     PositiveOrderViolation,
     SumExceedsOne,
     TOL_CMP,
+    TOL_SUM,
     TOL_X,
     multiset_from_values,
+    parse_instance,
 )
+from pfms import core
 
 APPROX = dict(abs=1e-12)
 
@@ -443,6 +448,7 @@ def _round_trip_objects():
     )
     return {
         "multiset": ms,
+        "grid": ms.grid,
         "grade-triple": ms.evaluate(0.25, 2),
         "grade-field": pfms.convex_hull(ms),
         "convexity-report": pfms.is_convex_exact(ms),
@@ -458,12 +464,19 @@ def test_pickle_and_deepcopy_round_trip(name, how):
     back = pickle.loads(pickle.dumps(obj)) if how == "pickle" else copy.deepcopy(obj)
     assert type(back) is type(obj) and back == obj and back is not obj
     assert repr(back) == repr(obj)
-    for attr in ("values", "mask"):
-        if hasattr(obj, attr):
-            array, copied = getattr(obj, attr), getattr(back, attr)
-            assert copied.dtype == array.dtype and copied.tobytes() == array.tobytes()
+    pairs = [(obj, back)] + ([(obj.grid, back.grid)] if hasattr(obj, "grid") else [])
+    for one, other in pairs:
+        for attr in ("values", "mask", "coords"):
+            if hasattr(one, attr):
+                array, copied = getattr(one, attr), getattr(other, attr)
+                assert copied.dtype == array.dtype and copied.tobytes() == array.tobytes()
+                # read-only, as the constructors leave them
+                assert copied.flags.writeable is False
+                with pytest.raises(ValueError):
+                    copied.flat[0] = 0.5
+        if type(one).__hash__ is not None:
+            assert hash(other) == hash(one)
     if isinstance(obj, GradeTriple):
-        assert hash(back) == hash(obj)
         with pytest.raises(dataclasses.FrozenInstanceError):
             back.positive = 0.0
 
@@ -525,3 +538,141 @@ def test_evaluate_many_matches_evaluate(points, levels):
         for k in range(ms.depth):
             got = repr(tuple(grades[i, k].tolist())) if ok[i, k] else None
             assert (bool(ok[i, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+
+
+# ---------------------------------------------------------------------------
+# first_invalid_point checks an array of at most core._SCALAR_TRIPLES
+# triples in one Python pass and a larger one in numpy passes.  Both must
+# name the point at which per-point construction first raises, and builds
+# on either side of the cutoff must raise the same error.
+
+_UNIT_EDGES = [
+    edge
+    for bound in (-TOL_CMP, 1.0 + TOL_CMP)
+    for edge in (bound, math.nextafter(bound, -2.0), math.nextafter(bound, 2.0))
+]
+_ODD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, *_UNIT_EDGES]
+# 0.5 + 0.25 + (x - 0.75) sums to x exactly for x near one: these triples
+# land on the sum bound and one ulp above it
+_SUM_EDGE_NEGATIVES = [
+    x - 0.75 for x in (1.0 + TOL_SUM, math.nextafter(1.0 + TOL_SUM, 2.0))
+]
+
+
+@st.composite
+def _grade_arrays(draw, depth=None, points=None):
+    """A valid (m, depth, 3) array, depth 1-8 and up to twice the scalar
+    cutoff in triples, with up to four edits that put a value, a range, a
+    sum or a level-order step on a tolerance edge or make it NaN or
+    infinite."""
+    if depth is None:
+        depth = draw(st.integers(min_value=1, max_value=8))
+    if points is None:
+        points = draw(st.integers(1, 2 * core._SCALAR_TRIPLES // depth + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.uniform(0.0, 0.3, (points, depth, 3))
+    arr[..., 0] = -np.sort(-arr[..., 0], axis=1)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(0, points - 1))
+        k = draw(st.integers(0, depth - 1))
+        kind = draw(st.sampled_from(["value", "alone", "sum", "order"]))
+        if kind == "value":
+            arr[i, k, draw(st.integers(0, 2))] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "alone":  # the odd value decides on its own
+            arr[i, k] = [0.0, 0.0, 0.0]
+            arr[i, k, draw(st.integers(0, 2))] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "sum":
+            arr[i, k] = [0.5, 0.25, draw(st.sampled_from(_SUM_EDGE_NEGATIVES))]
+        elif kind == "order" and k > 0:
+            step = float(arr[i, k - 1, 0]) + TOL_CMP
+            arr[i, k, 0] = draw(st.sampled_from([step, math.nextafter(step, 2.0)]))
+    return arr
+
+
+def _first_raising_point(arr):
+    for i, per_point in enumerate(arr.tolist()):
+        try:
+            core._point_grades(per_point)
+        except PfmsError:
+            return i
+    return len(arr)
+
+
+def _construct(arr):
+    return PictureFuzzyMultiset(DomainGrid(tuple(map(float, range(len(arr))))), arr)
+
+
+def _parse(arr):
+    return parse_instance(json.dumps({
+        "format_version": "1", "domain": list(range(len(arr))),
+        "depth": arr.shape[1], "elements": arr.tolist(),
+    }))
+
+
+def _outcome(build, arr):
+    try:
+        ms = build(arr)
+    except PfmsError as exc:
+        return type(exc), str(exc)
+    return None, ms.values.tobytes()
+
+
+class TestScalarAndVectorisedValidation:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_grade_arrays())
+    @example(np.full((1, 1, 3), -0.0))
+    @example(np.array([[[0.5, 0.25, _SUM_EDGE_NEGATIVES[0]]]]))
+    @example(np.array([[[0.5, 0.25, _SUM_EDGE_NEGATIVES[1]]]]))
+    def test_both_branches_name_the_first_point_construction_rejects(self, arr):
+        expected = _first_raising_point(arr)
+        assert core.first_invalid_point(arr) == expected
+        assert core._first_invalid_vectorised(arr) == expected
+
+    def test_every_edge_value_in_every_slot(self):
+        base = np.linspace(0.25, 0.0, 8)[None, :, None] * [1.0, 0.5, 0.25]
+        for depth, odd, i, k, j, alone in itertools.product(
+            (1, 2, 8), _ODD_VALUES, (0, 2), (0, -1), range(3), (False, True)
+        ):
+            arr = np.repeat(base[:, :depth], 3, axis=0)
+            if alone:
+                arr[i, k] = 0.0
+            arr[i, k, j] = odd
+            expected = _first_raising_point(arr)
+            assert core.first_invalid_point(arr) == expected, (depth, odd, i, k, j)
+            assert core._first_invalid_vectorised(arr) == expected, (depth, odd, i, k, j)
+
+    def test_sum_and_order_steps_on_the_edge_and_one_ulp_past_it(self):
+        for g, ok in zip(_SUM_EDGE_NEGATIVES, (True, False)):
+            arr = np.array([[[0.25, 0.125, 0.0]], [[0.5, 0.25, g]]])
+            assert core.first_invalid_point(arr) == core._first_invalid_vectorised(arr)
+            assert core.first_invalid_point(arr) == (2 if ok else 1)
+        step = 0.25 + TOL_CMP
+        for p, ok in ((step, True), (math.nextafter(step, 2.0), False)):
+            arr = np.array([[[0.5, 0.0, 0.0], [0.5, 0.0, 0.0]], [[0.25, 0.0, 0.0], [p, 0.0, 0.0]]])
+            assert core.first_invalid_point(arr) == core._first_invalid_vectorised(arr)
+            assert core.first_invalid_point(arr) == (2 if ok else 1)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_builds_just_below_and_above_the_cutoff_raise_alike(self, data):
+        depth = data.draw(st.integers(min_value=1, max_value=8), label="depth")
+        points = core._SCALAR_TRIPLES // depth
+        below = data.draw(_grade_arrays(depth, points), label="below")
+        # one valid point more takes the same table above the cutoff
+        above = np.concatenate([below, np.full((1, depth, 3), 0.125)])
+        assert below.size <= 3 * core._SCALAR_TRIPLES < above.size
+        bad = _first_raising_point(below)
+        for build in (_construct, _parse):
+            (kind, got), (kind_above, got_above) = (_outcome(build, a) for a in (below, above))
+            if bad == points:  # valid: the same values, then the added point
+                assert kind is None and kind_above is None
+                assert got == below.tobytes() and got_above.startswith(got)
+                continue
+            assert (kind, got) == (kind_above, got_above)
+            with pytest.raises(PfmsError) as err:
+                core._point_grades(below[bad].tolist())
+            assert kind is type(err.value)
+            if build is _construct:
+                assert got == str(err.value)
+            else:  # the same error, with the entry's path in front
+                assert got.startswith(f"elements[{bad}]") and got.endswith(f": {err.value}")
