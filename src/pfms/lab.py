@@ -1,8 +1,11 @@
 """Seeded instance generators, brute-force oracles and verification suites.
 
 Everything here is deterministic: a generator config fully determines its
-instance, and every suite derives one sub-seed per trial from the suite
-seed and the trial index, so re-runs produce byte-identical reports.
+instance, and every suite is a function of one trial, run on a sub-seed
+that ``run_suite`` derives from the suite seed and the trial index, so
+re-runs produce byte-identical reports.  A suite yields one
+(kind, config, detail) per failure, and ``run_suite`` adds ``trial``,
+``kind`` and ``config`` to the detail to make each report record.
 
 The oracles are deliberately written against different machinery than the
 exact checkers they validate: convexity is brute-forced by testing the
@@ -18,11 +21,12 @@ threshold cuts instead of node shapes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,8 +83,15 @@ class GeneratorConfig:
     convex_only: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise BadConfig(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "grid_size", "depth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadConfig(f"{name} must be an integer, got {value!r}")
+        step = self.value_lattice
+        if step is not None and (
+            not isinstance(step, (int, float)) or isinstance(step, bool)
+        ):
+            raise BadConfig(f"value_lattice must be an int or a float, got {step!r}")
         if not 1 <= self.grid_size <= _MAX_GRID_SIZE:
             raise BadConfig(
                 f"grid_size {_shown(self.grid_size)} outside 1..{_MAX_GRID_SIZE}"
@@ -543,6 +554,9 @@ def shrink_instance(
 # suites
 
 
+_Failure = tuple[str, GeneratorConfig | dict, dict]  # (kind, config, detail)
+
+
 def _trial_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index * 7_919 + 12_345) & ((1 << 63) - 1)
 
@@ -562,77 +576,53 @@ def hull_gap_fixture() -> tuple[PictureFuzzyMultiset, tuple[float, float], tuple
     return ms, (0.0, 2.0), (0.5, 0.5), 1
 
 
-def _config_dict(cfg: GeneratorConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "grid_size": cfg.grid_size,
-        "depth": cfg.depth,
-        "value_lattice": cfg.value_lattice,
-        "convex_only": cfg.convex_only,
-    }
+def _suite_cut_equivalence(idx: int, sub: int) -> Iterator[_Failure]:
+    m = 2 + idx % 15
+    depth = 1 + idx % 4
+    mode = idx % 4  # two random, one convex, one planted per cycle
+    cfg = GeneratorConfig(
+        seed=sub, grid_size=m, depth=depth, convex_only=(mode == 2)
+    )
+    ms = gen_pfms(cfg)
+    if mode == 3 and m >= 3:
+        ms = plant_dip(ms, seed=sub + 1)
+    exact = is_convex_exact(ms)
+    scan = cuts_all_convex(ms)
+    if exact.convex != scan.convex:
+        yield "cut-equivalence-mismatch", cfg, {
+            "instance": instance_document(ms),
+            "exact_convex": exact.convex,
+            "cuts_convex": scan.convex,
+            "witness": exact.witness and exact.witness.to_dict(),
+        }
 
 
-def _suite_cut_equivalence(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        m = 2 + idx % 15
-        depth = 1 + idx % 4
-        mode = idx % 4  # two random, one convex, one planted per cycle
-        cfg = GeneratorConfig(
-            seed=sub, grid_size=m, depth=depth, convex_only=(mode == 2)
-        )
-        ms = gen_pfms(cfg)
-        if mode == 3 and m >= 3:
-            ms = plant_dip(ms, seed=sub + 1)
-        exact = is_convex_exact(ms)
-        scan = cuts_all_convex(ms)
-        if exact.convex != scan.convex:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "cut-equivalence-mismatch",
-                    "config": _config_dict(cfg),
-                    "instance": instance_document(ms),
-                    "exact_convex": exact.convex,
-                    "cuts_convex": scan.convex,
-                    "witness": exact.witness and exact.witness.to_dict(),
-                }
-            )
-
-
-def _suite_oracle_equivalence(trials: int, seed: int, record) -> None:
+def _suite_oracle_equivalence(idx: int, sub: int) -> Iterator[_Failure]:
     # Node counts are chosen so the integer grid sits exactly on the
     # oracle's 41-point lattice; planted defects have adjacent flanks and
     # margin DIP_DEPTH, so the fixed resolution cannot miss them.
     sizes = (2, 3, 5, 6, 9)
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        m = sizes[idx % len(sizes)]
-        depth = 1 + idx % 3
-        convex = m == 2 or idx % 2 == 0
-        cfg = GeneratorConfig(
-            seed=sub,
-            grid_size=m,
-            depth=depth,
-            value_lattice=0.05,
-            convex_only=convex,
-        )
-        ms = gen_pfms(cfg)
-        if not convex:
-            ms = plant_dip(ms, seed=sub ^ 0x5BD1E995)
-        exact = is_convex_exact(ms).convex
-        brute = oracle_convexity(ms, 41, 21)
-        if exact != brute:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "checker-oracle-mismatch",
-                    "config": _config_dict(cfg),
-                    "instance": instance_document(ms),
-                    "exact_convex": exact,
-                    "oracle_convex": brute,
-                }
-            )
+    m = sizes[idx % len(sizes)]
+    depth = 1 + idx % 3
+    convex = m == 2 or idx % 2 == 0
+    cfg = GeneratorConfig(
+        seed=sub,
+        grid_size=m,
+        depth=depth,
+        value_lattice=0.05,
+        convex_only=convex,
+    )
+    ms = gen_pfms(cfg)
+    if not convex:
+        ms = plant_dip(ms, seed=sub ^ 0x5BD1E995)
+    exact = is_convex_exact(ms).convex
+    brute = oracle_convexity(ms, 41, 21)
+    if exact != brute:
+        yield "checker-oracle-mismatch", cfg, {
+            "instance": instance_document(ms),
+            "exact_convex": exact,
+            "oracle_convex": brute,
+        }
 
 
 def _convex_like(
@@ -642,119 +632,100 @@ def _convex_like(
     return PictureFuzzyMultiset(ms.grid, _convex_values(rng, ms.size, ms.depth))
 
 
-def _suite_intersection_closure(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        cfg = GeneratorConfig(
-            seed=sub,
-            grid_size=2 + idx % 11,
-            depth=1 + idx % 4,
-            convex_only=True,
-        )
-        a = gen_pfms(cfg)
-        b = _convex_like(a, random.Random(sub ^ 0x9E3779B9))
-        meet = intersection(a, b)
-        report = is_convex_exact(meet)
-        if not report.convex:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "intersection-not-convex",
-                    "config": _config_dict(cfg),
-                    "left": instance_document(a),
-                    "right": instance_document(b),
-                    "witness": report.witness.to_dict(),
-                }
-            )
+def _suite_intersection_closure(idx: int, sub: int) -> Iterator[_Failure]:
+    cfg = GeneratorConfig(
+        seed=sub,
+        grid_size=2 + idx % 11,
+        depth=1 + idx % 4,
+        convex_only=True,
+    )
+    a = gen_pfms(cfg)
+    b = _convex_like(a, random.Random(sub ^ 0x9E3779B9))
+    meet = intersection(a, b)
+    report = is_convex_exact(meet)
+    if not report.convex:
+        yield "intersection-not-convex", cfg, {
+            "left": instance_document(a),
+            "right": instance_document(b),
+            "witness": report.witness.to_dict(),
+        }
 
 
-def _suite_family_intersection(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        size = 2 + idx % 7
-        cfg = GeneratorConfig(
-            seed=sub,
-            grid_size=2 + idx % 9,
-            depth=1 + idx % 3,
-            convex_only=True,
+def _suite_family_intersection(idx: int, sub: int) -> Iterator[_Failure]:
+    size = 2 + idx % 7
+    cfg = GeneratorConfig(
+        seed=sub,
+        grid_size=2 + idx % 9,
+        depth=1 + idx % 3,
+        convex_only=True,
+    )
+    first = gen_pfms(cfg)
+    family = [first]
+    for member in range(1, size):
+        family.append(
+            _convex_like(first, random.Random(sub ^ (0xABCD + member)))
         )
-        first = gen_pfms(cfg)
-        family = [first]
-        for member in range(1, size):
-            family.append(
-                _convex_like(first, random.Random(sub ^ (0xABCD + member)))
-            )
-        meet = family[0]
-        for member in family[1:]:
-            meet = intersection(meet, member)
-        report = is_convex_exact(meet)
-        if not report.convex:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "family-intersection-not-convex",
-                    "config": _config_dict(cfg),
-                    "family_size": size,
-                    "members": [instance_document(ms) for ms in family],
-                    "witness": report.witness.to_dict(),
-                }
-            )
+    meet = family[0]
+    for member in family[1:]:
+        meet = intersection(meet, member)
+    report = is_convex_exact(meet)
+    if not report.convex:
+        yield "family-intersection-not-convex", cfg, {
+            "family_size": size,
+            "members": [instance_document(ms) for ms in family],
+            "witness": report.witness.to_dict(),
+        }
 
 
-def _suite_jensen(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        cfg = GeneratorConfig(
-            seed=sub,
-            grid_size=3 + idx % 10,
-            depth=1 + idx % 4,
-            convex_only=True,
-        )
-        ms = gen_pfms(cfg)
-        rng = random.Random(sub ^ 0x2545F491)
-        lo, hi = ms.grid.lo, ms.grid.hi
-        for draw in range(10):
-            n = 1 + rng.randrange(6)
-            points = [rng.uniform(lo, hi) for _ in range(n)]
-            raw = [rng.random() + 1e-9 for _ in range(n)]
-            total = math.fsum(raw)
-            weights = [v / total for v in raw]
-            level = 1 + rng.randrange(ms.depth)
-            report = jensen_check(ms, points, weights, level)
-            if not report.ok:
-                record(
-                    {
-                        "trial": idx,
-                        "kind": "jensen-failed-on-convex",
-                        "config": _config_dict(cfg),
-                        "instance": instance_document(ms),
-                        "draw": draw,
-                        "points": points,
-                        "weights": weights,
-                        "level": level,
-                        "slacks": list(report.slacks),
-                    }
-                )
-        planted = plant_dip(ms, seed=sub ^ 0x27D4EB2F)
-        witness = is_convex_exact(planted).witness
-        report = jensen_check(
-            planted,
-            [witness.x, witness.y],
-            [1.0 - witness.lam, witness.lam],
-            witness.level,
-        )
-        slack = report.slacks[CHANNELS.index(witness.channel)]
-        if slack >= -5.0 * TOL_CMP:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "jensen-witness-not-failing",
-                    "config": _config_dict(cfg),
-                    "instance": instance_document(planted),
-                    "witness": witness.to_dict(),
-                    "slack": slack,
-                }
-            )
+def _random_combination(
+    rng: random.Random, ms: PictureFuzzyMultiset, n: int
+) -> tuple[list[float], list[float], int]:
+    """``n`` points on the grid's span, positive weights summing to one,
+    and a level of ``ms``, drawn from ``rng`` in that order."""
+    points = [rng.uniform(ms.grid.lo, ms.grid.hi) for _ in range(n)]
+    raw = [rng.random() + 1e-9 for _ in range(n)]
+    total = math.fsum(raw)
+    weights = [v / total for v in raw]
+    level = 1 + rng.randrange(ms.depth)
+    return points, weights, level
+
+
+def _suite_jensen(idx: int, sub: int) -> Iterator[_Failure]:
+    cfg = GeneratorConfig(
+        seed=sub,
+        grid_size=3 + idx % 10,
+        depth=1 + idx % 4,
+        convex_only=True,
+    )
+    ms = gen_pfms(cfg)
+    rng = random.Random(sub ^ 0x2545F491)
+    for draw in range(10):
+        points, weights, level = _random_combination(rng, ms, 1 + rng.randrange(6))
+        report = jensen_check(ms, points, weights, level)
+        if not report.ok:
+            yield "jensen-failed-on-convex", cfg, {
+                "instance": instance_document(ms),
+                "draw": draw,
+                "points": points,
+                "weights": weights,
+                "level": level,
+                "slacks": list(report.slacks),
+            }
+    planted = plant_dip(ms, seed=sub ^ 0x27D4EB2F)
+    witness = is_convex_exact(planted).witness
+    report = jensen_check(
+        planted,
+        [witness.x, witness.y],
+        [1.0 - witness.lam, witness.lam],
+        witness.level,
+    )
+    slack = report.slacks[CHANNELS.index(witness.channel)]
+    if slack >= -5.0 * TOL_CMP:
+        yield "jensen-witness-not-failing", cfg, {
+            "instance": instance_document(planted),
+            "witness": witness.to_dict(),
+            "slack": slack,
+        }
 
 
 def _rises_after_falling(values: Sequence[float]) -> bool:
@@ -788,60 +759,31 @@ def _hull_law_violation(
     return None
 
 
-def _suite_hull_properties(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        if idx % 2 == 0:
-            cfg = GeneratorConfig(
-                seed=sub,
-                grid_size=2 + (idx // 2) % 6,
-                depth=1 + idx % 3,
-                value_lattice=0.05,
-                convex_only=False,
-            )
-            ms = gen_pfms(cfg)
-            field = convex_hull(ms)
-            brute = oracle_hull(ms, 0.05)
-            if field != brute:
-                record(
-                    {
-                        "trial": idx,
-                        "kind": "hull-oracle-mismatch",
-                        "config": _config_dict(cfg),
-                        "instance": instance_document(ms),
-                    }
-                )
-                continue
-        else:
-            cfg = GeneratorConfig(
-                seed=sub,
-                grid_size=2 + idx % 15,
-                depth=1 + idx % 4,
-                convex_only=True,
-            )
-            ms = gen_pfms(cfg)
-            field = convex_hull(ms)
-            if not np.array_equal(field.values, ms.values):
-                record(
-                    {
-                        "trial": idx,
-                        "kind": "hull-not-identity-on-convex",
-                        "config": _config_dict(cfg),
-                        "instance": instance_document(ms),
-                    }
-                )
-                continue
-        flaw = _hull_law_violation(ms, field)
-        if flaw is not None:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "hull-law-violation",
-                    "config": _config_dict(cfg),
-                    "instance": instance_document(ms),
-                    "law": flaw,
-                }
-            )
+def _suite_hull_properties(idx: int, sub: int) -> Iterator[_Failure]:
+    # Even trials match small lattice hulls to the oracle; odd ones check the
+    # identity on convex inputs, then the laws on a planted continuous one.
+    odd = idx % 2 == 1
+    cfg = GeneratorConfig(
+        seed=sub,
+        grid_size=2 + idx % 15 if odd else 2 + (idx // 2) % 6,
+        depth=1 + idx % 4 if odd else 1 + idx % 3,
+        value_lattice=None if odd else 0.05,
+        convex_only=odd,
+    )
+    ms = gen_pfms(cfg)
+    field = convex_hull(ms)
+    if not odd and field != oracle_hull(ms, 0.05):
+        yield "hull-oracle-mismatch", cfg, {"instance": instance_document(ms)}
+        return
+    if odd and not np.array_equal(field.values, ms.values):
+        yield "hull-not-identity-on-convex", cfg, {"instance": instance_document(ms)}
+        return
+    flaw = _hull_law_violation(ms, field)
+    if flaw is None and odd and ms.size >= 3:
+        ms = plant_dip(ms, seed=sub ^ 0x165667B1)
+        flaw = _hull_law_violation(ms, convex_hull(ms))
+    if flaw is not None:
+        yield "hull-law-violation", cfg, {"instance": instance_document(ms), "law": flaw}
 
 
 def _membership_gap(
@@ -866,58 +808,39 @@ def _membership_gap(
                 "channel": channel,
                 "combination": combined,
                 "envelope": envelope,
-                "point": z,
+                "blend_coordinate": z,
             }
     return None
 
 
-def _suite_hull_theorem_discrepancy(trials: int, seed: int, record) -> None:
+def _suite_hull_theorem_discrepancy(idx: int, sub: int) -> Iterator[_Failure]:
     # The final hull statement reads as if every convex combination of
     # grades stays inside the hull; this suite documents that it does not.
     # Counterexamples are expected, shrunk, and reported.
-    for idx in range(trials):
-        if idx == 0:
-            ms, points, weights, level = hull_gap_fixture()
-            cfg_info = {"fixture": "hull-gap-canonical"}
-        else:
-            sub = _trial_seed(seed, idx)
-            cfg = GeneratorConfig(
-                seed=sub,
-                grid_size=3 + idx % 8,
-                depth=1 + idx % 3,
-                convex_only=idx % 2 == 0,
-            )
-            ms = gen_pfms(cfg)
-            rng = random.Random(sub ^ 0x94D049BB)
-            n = 2 + rng.randrange(3)
-            points = [rng.uniform(ms.grid.lo, ms.grid.hi) for _ in range(n)]
-            raw = [rng.random() + 1e-9 for _ in range(n)]
-            total = math.fsum(raw)
-            weights = [v / total for v in raw]
-            level = 1 + rng.randrange(ms.depth)
-            cfg_info = _config_dict(cfg)
-        gap = _membership_gap(ms, points, weights, level)
-        if gap is None:
-            continue
-        shrunk = shrink_instance(
-            ms, lambda cand: _membership_gap(cand, points, weights, level) is not None
+    if idx == 0:
+        ms, points, weights, level = hull_gap_fixture()
+        cfg = {"fixture": "hull-gap-canonical"}
+    else:
+        cfg = GeneratorConfig(
+            seed=sub,
+            grid_size=3 + idx % 8,
+            depth=1 + idx % 3,
+            convex_only=idx % 2 == 0,
         )
-        final_gap = _membership_gap(shrunk, points, weights, level)
-        record(
-            {
-                "trial": idx,
-                "kind": "hull-membership-gap",
-                "config": cfg_info,
-                "instance": instance_document(shrunk),
-                "points": list(points),
-                "weights": list(weights),
-                "level": level,
-                "channel": final_gap["channel"],
-                "combination": final_gap["combination"],
-                "envelope": final_gap["envelope"],
-                "blend_coordinate": final_gap["point"],
-            }
-        )
+        ms = gen_pfms(cfg)
+        rng = random.Random(sub ^ 0x94D049BB)
+        points, weights, level = _random_combination(rng, ms, 2 + rng.randrange(3))
+    gap = functools.partial(_membership_gap, points=points, weights=weights, level=level)
+    if gap(ms) is None:
+        return
+    shrunk = shrink_instance(ms, lambda cand: gap(cand) is not None)
+    yield "hull-membership-gap", cfg, {
+        "instance": instance_document(shrunk),
+        "points": list(points),
+        "weights": list(weights),
+        "level": level,
+        **gap(shrunk),
+    }
 
 
 def _level_slice(ms: PictureFuzzyMultiset, level: int) -> PictureFuzzyMultiset:
@@ -931,58 +854,51 @@ def _level_multisets_equal(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> 
     return True
 
 
-def _suite_algebra_laws(trials: int, seed: int, record) -> None:
-    for idx in range(trials):
-        sub = _trial_seed(seed, idx)
-        cfg = GeneratorConfig(seed=sub, grid_size=2 + idx % 4, depth=1 + idx % 2)
-        a = gen_pfms(cfg)
-        rng = random.Random(sub ^ 0x85EBCA6B)
-        b = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
-        c = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
-        lam = rng.random()
-        problems: list[str] = []
-        if union(a, b) != union(b, a):
-            problems.append("union not commutative")
-        if intersection(a, b) != intersection(b, a):
-            problems.append("intersection not commutative")
-        if union(union(a, b), c) != union(a, union(b, c)):
-            problems.append("union not associative")
-        if intersection(intersection(a, b), c) != intersection(a, intersection(b, c)):
-            problems.append("intersection not associative")
-        if union(a, a) != a or intersection(a, a) != a:
-            problems.append("idempotence failed")
-        if not _level_multisets_equal(complement(complement(a)), a):
-            problems.append("double complement changed level contents")
-        if convex_combination(a, b, 1.0) != a:
-            problems.append("combination at weight 1 is not the first operand")
-        if convex_combination(a, b, 0.0) != b:
-            problems.append("combination at weight 0 is not the second operand")
-        mix_ab = convex_combination(a, b, lam)
-        mix_ba = convex_combination(b, a, 1.0 - lam)
-        if not equals(mix_ab, mix_ba):
-            problems.append("combination not symmetric under weight reversal")
-        for level in range(1, a.depth + 1):
-            a1 = _level_slice(a, level)
-            b1 = _level_slice(b, level)
-            if complement(union(a1, b1)) != intersection(complement(a1), complement(b1)):
-                problems.append(f"single-level duality failed at level {level}")
-                break
-        if problems:
-            record(
-                {
-                    "trial": idx,
-                    "kind": "algebra-law-violation",
-                    "config": _config_dict(cfg),
-                    "left": instance_document(a),
-                    "right": instance_document(b),
-                    "third": instance_document(c),
-                    "lambda": lam,
-                    "problems": problems,
-                }
-            )
+def _suite_algebra_laws(idx: int, sub: int) -> Iterator[_Failure]:
+    cfg = GeneratorConfig(seed=sub, grid_size=2 + idx % 4, depth=1 + idx % 2)
+    a = gen_pfms(cfg)
+    rng = random.Random(sub ^ 0x85EBCA6B)
+    b = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
+    c = PictureFuzzyMultiset(a.grid, _random_values(rng, a.size, a.depth))
+    lam = rng.random()
+    problems: list[str] = []
+    if union(a, b) != union(b, a):
+        problems.append("union not commutative")
+    if intersection(a, b) != intersection(b, a):
+        problems.append("intersection not commutative")
+    if union(union(a, b), c) != union(a, union(b, c)):
+        problems.append("union not associative")
+    if intersection(intersection(a, b), c) != intersection(a, intersection(b, c)):
+        problems.append("intersection not associative")
+    if union(a, a) != a or intersection(a, a) != a:
+        problems.append("idempotence failed")
+    if not _level_multisets_equal(complement(complement(a)), a):
+        problems.append("double complement changed level contents")
+    if convex_combination(a, b, 1.0) != a:
+        problems.append("combination at weight 1 is not the first operand")
+    if convex_combination(a, b, 0.0) != b:
+        problems.append("combination at weight 0 is not the second operand")
+    mix_ab = convex_combination(a, b, lam)
+    mix_ba = convex_combination(b, a, 1.0 - lam)
+    if not equals(mix_ab, mix_ba):
+        problems.append("combination not symmetric under weight reversal")
+    for level in range(1, a.depth + 1):
+        a1 = _level_slice(a, level)
+        b1 = _level_slice(b, level)
+        if complement(union(a1, b1)) != intersection(complement(a1), complement(b1)):
+            problems.append(f"single-level duality failed at level {level}")
+            break
+    if problems:
+        yield "algebra-law-violation", cfg, {
+            "left": instance_document(a),
+            "right": instance_document(b),
+            "third": instance_document(c),
+            "lambda": lam,
+            "problems": problems,
+        }
 
 
-_SUITES: dict[str, Callable[[int, int, Callable[[dict], None]], None]] = {
+_SUITES: dict[str, Callable[[int, int], Iterator[_Failure]]] = {
     "cut-equivalence": _suite_cut_equivalence,
     "intersection-closure": _suite_intersection_closure,
     "family-intersection": _suite_family_intersection,
@@ -1045,8 +961,16 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
         raise TooLarge(
             f"trials must be at most {_MAX_TRIALS}, got {_shown(trials, str)}"
         )
-    failures: list[dict] = []
-    _SUITES[name](trials, seed, failures.append)
+    failures = [
+        {
+            "trial": idx,
+            "kind": kind,
+            "config": config if isinstance(config, dict) else asdict(config),
+            **detail,
+        }
+        for idx in range(trials)
+        for kind, config, detail in _SUITES[name](idx, _trial_seed(seed, idx))
+    ]
     return SuiteResult(
         suite=name,
         seed=seed,

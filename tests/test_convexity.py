@@ -29,6 +29,7 @@ from pfms import (
     is_unimodal,
     jensen_check,
     multiset_from_values,
+    oracle_convexity,
     unimodal_majorant,
 )
 from pfms import convexity
@@ -630,3 +631,19 @@ class TestHullMembership:
         assert combo.positive == pytest.approx(0.55, **APPROX)
         assert field.channel_at("positive", 1, 1.0) == pytest.approx(0.5, **APPROX)
         assert combo.positive > field.channel_at("positive", 1, 1.0) + 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_deciders_agree_on_a_dip_inside_the_tolerance_band():
+    # A positive dip of 1e-10, below TOL_CMP: the exact check, the lattice
+    # oracle and the sampled check call it convex, while the cut scan
+    # compares exactly and the hull lifts the middle node.
+    ms = positive_only((0.0, 1.0, 2.0), (0.5, 0.5 - 1e-10, 0.5))
+    verdicts = {
+        "exact": is_convex_exact(ms).convex,
+        "oracle": oracle_convexity(ms),
+        "sampled": is_convex_sampled(ms).convex,
+        "cuts": cuts_all_convex(ms).convex,
+        "hull identity": np.array_equal(convex_hull(ms).values, ms.values),
+    }
+    assert len(set(verdicts.values())) == 1, verdicts

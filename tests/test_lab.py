@@ -1,16 +1,26 @@
 import hashlib
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+import pfms.convexity
+import pfms.lab
 from pfms import (
     BadConfig,
     DIP_DEPTH,
+    ConvexityReport,
+    CutConvexityReport,
     GeneratorConfig,
+    GradeField,
+    GradeTriple,
+    JensenReport,
     SUITE_NAMES,
     SuiteResult,
     TooLarge,
     UnknownSuite,
+    Witness,
     convex_hull,
     cuts_all_convex,
     gen_pfms,
@@ -38,6 +48,12 @@ class TestGeneratorConfig:
             dict(seed=0, grid_size=4, depth=1, value_lattice=0.0),
             dict(seed=0, grid_size=4, depth=1, value_lattice=1.5),
             dict(seed=True, grid_size=4, depth=1),
+            dict(seed=0, grid_size=3.5, depth=1),
+            dict(seed=0, grid_size=4, depth=1.0),
+            dict(seed=0, grid_size=True, depth=1),
+            dict(seed=0, grid_size="3", depth=1),
+            dict(seed=0, grid_size=4, depth=1, value_lattice="x"),
+            dict(seed=0, grid_size=4, depth=1, value_lattice=True),
         ],
     )
     def test_rejected_configs(self, kwargs):
@@ -244,6 +260,31 @@ class TestHullGapFixture:
         assert field.channel_at("positive", level, z) == pytest.approx(0.5, abs=1e-12)
 
 
+def _zero_hull(ms, *args):
+    return GradeField.from_envelopes(ms.grid, np.zeros_like(ms.values))
+
+
+_NOT_CONVEX = ConvexityReport(
+    convex=False,
+    levels=(False,),
+    witness=Witness(x=0.0, y=1.0, lam=0.5, level=1, channel="positive", lhs=0.0, rhs=0.5),
+)
+_JENSEN_FAILS = JensenReport(
+    ok=False, level=1, point=0.0, grades=GradeTriple(0.0, 0.0, 0.0), slacks=(0.0, 0.0, 0.0)
+)
+_cuts, _oracle = pfms.lab.cuts_all_convex, pfms.lab.oracle_convexity
+# patches of pfms.lab that force each failure kind of its suites
+_FORCINGS = {
+    "flip-cuts": {"cuts_all_convex": lambda ms: CutConvexityReport(not _cuts(ms).convex)},
+    "flip-oracle": {"oracle_convexity": lambda ms, *a: not _oracle(ms, *a)},
+    "not-convex": {"is_convex_exact": lambda ms: _NOT_CONVEX},
+    "jensen-fails": {"jensen_check": lambda *a: _JENSEN_FAILS},
+    "zero-hull": {"convex_hull": _zero_hull},
+    "zero-hull-and-oracle": {"convex_hull": _zero_hull, "oracle_hull": _zero_hull},
+    "unequal": {"equals": lambda a, b: False},
+}
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(UnknownSuite):
@@ -312,6 +353,36 @@ class TestSuites:
         # change to a suite's output updates its digest here.
         report = run_suite(name, 25, seed=7).to_json()
         assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, forcing, kinds, digest",
+        [
+            ("cut-equivalence", "flip-cuts", {"cut-equivalence-mismatch"}, "ed4563256e86034520ccc551debfdfe01d1aa02387bdf80989a033a08312444d"),
+            ("oracle-equivalence", "flip-oracle", {"checker-oracle-mismatch"}, "4324f1b8ac550fc67492164a16e2cfdf43a96ac7354db6c0831ad1681e2c6052"),
+            ("intersection-closure", "not-convex", {"intersection-not-convex"}, "f6488e41df918a950c9068301ba92dcf11f6f8e762897d0d0066494a9f0e2652"),
+            ("family-intersection", "not-convex", {"family-intersection-not-convex"}, "4368a7d095a751db52420d5617a5f84d0be4ce1b4a7fae01f3dc3d907397b117"),
+            ("jensen", "jensen-fails", {"jensen-failed-on-convex", "jensen-witness-not-failing"}, "0c6fb6f3da7a570f4fe074c6f8f9909632e0275f149141cb4f0018c8f91bda74"),
+            ("hull-properties", "zero-hull", {"hull-oracle-mismatch", "hull-not-identity-on-convex"}, "ac10942fc672ebe401c8394a0bbbc4a61c222540dab22ab54102ad1c1a76cdd8"),
+            ("hull-properties", "zero-hull-and-oracle", {"hull-law-violation", "hull-not-identity-on-convex"}, "c964a9250736f7036d101a0da54ed78a993caea6cca7625f04dd1648a1d667c1"),
+            ("algebra-laws", "unequal", {"algebra-law-violation"}, "720092ab7f1d92163be661d3b690bf9963a7446c8eebfc5574678ca7eb2f5904"),
+        ],
+    )
+    def test_forced_record_bytes_pinned(self, name, forcing, kinds, digest):
+        # Each failure kind, forced by patching the check that decides it,
+        # so every record layout is pinned, not only hull-membership-gap,
+        # the one kind that test_report_bytes_pinned produces.
+        with mock.patch.multiple(pfms.lab, **_FORCINGS[forcing]):
+            report = run_suite(name, 12, seed=7)
+        assert {record["kind"] for record in report.failures} == kinds
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+    def test_hull_law_check_catches_a_broken_envelope(self):
+        # With an envelope that returns its input, every hull is its input:
+        # on convex inputs the identity and law checks both pass, so only
+        # the law check on planted continuous instances sees the fault.
+        with mock.patch.object(pfms.convexity, "_majorant", lambda values: values):
+            result = run_suite("hull-properties", 200, 0)
+        assert "hull-law-violation" in {record["kind"] for record in result.failures}
 
     def test_counterexample_replays(self):
         result = run_suite("hull-theorem-discrepancy", 6, seed=2)
