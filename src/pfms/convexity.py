@@ -9,19 +9,24 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-The exact check and the hull envelopes scan a channel-major copy of the
-grade array, shape (levels, 3, points), made in one numpy call with the
-negative channel multiplied by its CHANNEL_SIGNS entry, so that every
-channel is quasi-concave when convex and every (level, channel) column
-is one contiguous row.  Both take running maxima along the rows from
-either end, and the exact check reduces its dip flags per level over
-the trailing axes; numpy runs scans and reductions fastest along the
-contiguous axis.  Each column sees the operations of a scan down the
-points axis in the same order, so results are bit-identical to one, ties
-between 0.0 and -0.0 included.  Stored grades keep their (points,
-levels, 3) form: the copy is a temporary, and the hull returns to that
-form with one copy.  Cuts solve all segment crossings at once and
-intersect the three channel regions as interval unions.
+The exact check and the hull envelopes take running maxima along
+(level, channel) rows, signed by CHANNEL_SIGNS so that every channel is
+quasi-concave when convex.  On instances of at least _ROW_TEST_TRIPLES
+triples most rows need no scan: a row in which no strict rise follows a
+strict fall is unimodal, so it has no dip and is its own least unimodal
+majorant, bit for bit (see _dipping_rows).  One pass of comparisons in
+the stored (points, levels, 3) layout finds the rows that fail this
+test; only those are gathered into a contiguous signed copy and scanned,
+the exact check reads its verdicts off them, the hull writes their
+envelopes back, and an instance with no such row is its own hull.
+Smaller instances, where the test's fixed cost would outweigh the scans,
+scan every row of a channel-major copy, shape (levels, 3, points), made
+in one numpy call.  Either way each row sees the operations of a scan
+down the points axis in the same order, so results are bit-identical to
+one, ties between 0.0 and -0.0 included.  A cut solves a crossing only
+on the segments where its boundary crosses, so a region is the runs of
+nodes inside it, each widened to its crossings; regions of the three
+channels are intersected as interval unions.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
@@ -227,13 +232,16 @@ def _dips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ref - values[..., 1:-1], ref
 
 
-def _worst_dip(values: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+def _worst_dip(
+    values: np.ndarray, tol: float, dips: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[int, int, int] | None:
     """Deepest interior dip of a 1-D array deeper than ``tol``, as
     (left, mid, right): ``mid`` is the first of the deepest dipping nodes,
-    ``left``/``right`` its nearest flanks reaching the reference; or None."""
+    ``left``/``right`` its nearest flanks reaching the reference; or None.
+    ``dips`` is _dips(values), when the caller has it."""
     if len(values) < 3:
         return None
-    deficit, ref = _dips(values)
+    deficit, ref = _dips(values) if dips is None else dips
     j = int(deficit.argmax())
     if not deficit[j] > tol:
         return None
@@ -258,15 +266,61 @@ def _channel_major(values: np.ndarray) -> np.ndarray:
     return np.multiply(values.transpose(1, 2, 0), _ROW_SIGNS, order="C")
 
 
+# Instances of at least this many triples (points times levels) test
+# every (level, channel) row for a dip (_dipping_rows) before any running
+# maximum is taken; smaller ones scan every row, as the test's fixed cost
+# of about 20 us would outweigh the scans it saves.  Not a setting: it
+# rests on the crossover table in CHANGES.md, where from 768 triples the
+# test is as fast or faster at depths 1-8 except for a depth-2 hull with
+# a dipping row, and keeps every lab instance (at most 64 triples) on the
+# full scan.
+_ROW_TEST_TRIPLES = 768
+
+
+def _dipping_rows(values: np.ndarray) -> np.ndarray:
+    """Rows, as flat indices 3 * level + channel, of an (points, levels, 3)
+    grade array whose signed node sequence has a strict rise after a
+    strict fall: the rows that are not unimodal.
+
+    A unimodal row, plateaus included, has no dip, as every node is at
+    least all nodes on one of its sides.  For the same reason it is its
+    own least unimodal majorant bit for bit, 0.0 against -0.0 included:
+    the running maximum from the side of the peak keeps the current value
+    on ties, so it is the row itself, and the one from the other side is
+    no smaller, so the pick of the smaller keeps the row.  The comparisons
+    run in the stored layout, where they are contiguous, and find each
+    row's first fall and last rise with argmax."""
+    if len(values) < 3:  # a dip needs a node between two others
+        return np.empty(0, dtype=np.intp)
+    lo, hi = values[:-1], values[1:]
+    fall, rise = hi < lo, hi > lo
+    # the negative channel is signed by negation: its rises are falls
+    np.greater(hi[..., 2], lo[..., 2], out=fall[..., 2])
+    np.less(hi[..., 2], lo[..., 2], out=rise[..., 2])
+    fall, rise = fall.reshape(len(lo), -1), rise.reshape(len(lo), -1)
+    first_fall = fall.argmax(axis=0)
+    last_rise = len(lo) - 1 - rise[::-1].argmax(axis=0)
+    j = np.arange(fall.shape[1])
+    dips = fall[first_fall, j] & rise[last_rise, j] & (first_fall < last_rise)
+    return np.flatnonzero(dips)
+
+
+def _signed_rows(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Contiguous signed copy of the flat ``rows`` of a grade array, one
+    per index, each as _channel_major would give it."""
+    k, c = np.divmod(rows, 3)
+    return np.multiply(values[:, k, c].T, CHANNEL_SIGNS[c][:, None], order="C")
+
+
 def _node_witness(
     ms: PictureFuzzyMultiset, k: int, c: int, left: int, mid: int, right: int
 ) -> Witness:
-    xs, nodes = ms.grid.points, ms.values[:, k, c].tolist()
+    xs, nodes = ms.grid.points, ms.values[:, k, c]
     x, y = xs[left], xs[right]
-    ends = (nodes[left], nodes[right])
+    ends = (nodes.item(left), nodes.item(right))
     rhs = max(ends) if CHANNELS[c] == "negative" else min(ends)
     return Witness(x=x, y=y, lam=(xs[mid] - x) / (y - x), level=k + 1,
-                   channel=CHANNELS[c], lhs=nodes[mid], rhs=rhs)
+                   channel=CHANNELS[c], lhs=nodes.item(mid), rhs=rhs)
 
 
 def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
@@ -277,15 +331,27 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     this finite test decides the full segment definition.  The witness, if
     any, is the deepest offending node of the first failing level and
     channel, with its nearest adequate flanks."""
-    signed = _channel_major(ms.values)
-    deficit, _ = _dips(signed)
-    bad = deficit > TOL_CMP
-    level_bad = bad.any(axis=(1, 2)).tolist()
     witness: Witness | None = None
-    if True in level_bad:
-        k = level_bad.index(True)
-        c = int(bad[k].any(axis=-1).argmax())
-        witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP))
+    if ms.size * ms.depth < _ROW_TEST_TRIPLES:
+        signed = _channel_major(ms.values)
+        bad = _dips(signed)[0] > TOL_CMP
+        level_bad = bad.any(axis=(1, 2)).tolist()
+        if True in level_bad:
+            k = level_bad.index(True)
+            c = int(bad[k].any(axis=-1).argmax())
+            witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP))
+    else:  # rows without a rise after a fall have no dip
+        rows = _dipping_rows(ms.values)
+        signed = _signed_rows(ms.values, rows)
+        deficit, ref = _dips(signed)
+        bad = np.flatnonzero((deficit > TOL_CMP).any(axis=-1))
+        failed = set((rows[bad] // 3).tolist())
+        level_bad = [k in failed for k in range(ms.depth)]
+        if bad.size:  # rows are in level, then channel order
+            i = bad[0]
+            k, c = divmod(int(rows[i]), 3)
+            dip = _worst_dip(signed[i], TOL_CMP, (deficit[i], ref[i]))
+            witness = _node_witness(ms, k, c, *dip)
     levels = tuple([not b for b in level_bad])
     return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
 
@@ -380,23 +446,26 @@ def _upper_region(xs: np.ndarray, vs: np.ndarray, threshold: float) -> CutRegion
     inside = vs >= threshold
     if len(xs) == 1:
         return CutRegion(((xs[0], xs[0]),) if inside[0] else ())
-    seg = np.flatnonzero(inside[:-1] | inside[1:])  # segments that meet the region
-    if not seg.size:
-        return CutRegion(())
-    in0, in1 = inside[seg], inside[seg + 1]
-    x0, x1, v0, v1 = xs[seg], xs[seg + 1], vs[seg], vs[seg + 1]
+    seg = np.flatnonzero(inside[:-1] != inside[1:])  # segments the boundary crosses
+    x0, x1, v0 = xs[seg], xs[seg + 1], vs[seg]
     # Crossings are clamped into their segment (ties keep the crossing, as
-    # max and min do); segments without one divide by 1, unused.
-    xc = x0 + (threshold - v0) / np.where(in0 != in1, v1 - v0, 1.0) * (x1 - x0)
+    # max and min do).
+    xc = x0 + (threshold - v0) / (vs[seg + 1] - v0) * (x1 - x0)
     xc = np.where(x0 > xc, x0, xc)
     xc = np.where(x1 < xc, x1, xc)
-    starts, ends = np.where(in0, x0, xc), np.where(in1, x1, xc)
-    # Pieces are sorted with nondecreasing ends; touching ones merge, and a
-    # merged end is the first end equal to the last, as max would keep it.
-    first = np.concatenate(([True], starts[1:] > ends[:-1]))
-    last = np.concatenate((first[1:], [True]))
-    merged_ends = ends[np.searchsorted(ends, ends[last])]
-    return CutRegion(tuple(zip(starts[first].tolist(), merged_ends.tolist())))
+    enter = inside[seg + 1]
+    starts = xc[enter].tolist()
+    # A region left on segment b > 0 also holds segment b - 1, which ends
+    # at x0, so an exit equal to x0 is x0 (0.0 against -0.0), as merging
+    # the two segments' pieces with max keeps it.
+    ends = np.where((xc == x0) & (seg > 0), x0, xc)[~enter].tolist()
+    if inside[0]:
+        starts.insert(0, xs[0])
+    if inside[-1]:
+        ends.append(xs[-1])
+    # CutRegion merges regions that touch where an exit and an entry
+    # clamp onto the same node.
+    return CutRegion(tuple(zip(starts, ends)))
 
 
 def cut(
@@ -409,15 +478,15 @@ def cut(
     The region collects the points whose positive degree reaches ``r``,
     whose neutral degree reaches ``s`` and whose negative degree stays at
     or below ``t``; it is a finite union of closed intervals with
-    endpoints solved per segment."""
+    endpoints solved on the segments the cut's boundary crosses."""
     if not isinstance(thresholds, CutThresholds):
         thresholds = CutThresholds(*thresholds)
     k = ms.level_index(level)
-    xs = ms.grid.coords
-    signed = ms.values[:, k] * CHANNEL_SIGNS
-    region = _upper_region(xs, signed[:, 0], thresholds.r)
-    region = region.intersect(_upper_region(xs, signed[:, 1], thresholds.s))
-    return region.intersect(_upper_region(xs, signed[:, 2], -thresholds.t))
+    xs, v = ms.grid.coords, ms.values
+    region = _upper_region(xs, v[:, k, 0], thresholds.r)
+    region = region.intersect(_upper_region(xs, v[:, k, 1], thresholds.s))
+    # the negative degree stays at or below t where its negation reaches -t
+    return region.intersect(_upper_region(xs, -v[:, k, 2], -thresholds.t))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +567,20 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
     flagged invalid rather than repaired."""
-    hull = _majorant(_channel_major(ms.values))
-    hull *= _ROW_SIGNS
-    return GradeField.from_envelopes(ms.grid, hull.transpose(2, 0, 1))
+    if ms.size * ms.depth < _ROW_TEST_TRIPLES:
+        hull = _majorant(_channel_major(ms.values))
+        hull *= _ROW_SIGNS
+        return GradeField.from_envelopes(ms.grid, hull.transpose(2, 0, 1))
+    # every row without a rise after a fall is its own majorant
+    scan = _dipping_rows(ms.values)
+    if not scan.size:  # its own hull, within the sum bound its construction checked
+        mask = np.ones(ms.values.shape[:2], dtype=bool)
+        mask.setflags(write=False)
+        return GradeField(ms.grid, ms.values, mask)
+    hull = np.array(ms.values)
+    envelopes = _majorant(_signed_rows(ms.values, scan)) * CHANNEL_SIGNS[scan % 3, None]
+    hull.reshape(ms.size, -1)[:, scan] = envelopes.T
+    return GradeField.from_envelopes(ms.grid, hull)
 
 
 def hull_membership_test(

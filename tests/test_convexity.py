@@ -11,6 +11,7 @@ from pfms import (
     TOL_CMP,
     TOL_SUM,
     BadLevel,
+    CutRegion,
     CutThresholds,
     InvalidGrid,
     OutOfDomain,
@@ -417,8 +418,37 @@ def _reference_hull(ms):
 
 
 @st.composite
+def _row(draw, m, top, shape):
+    """A node row of m values from (0.0, -0.0, top / 2, top), so with flat
+    runs and signed-zero ties: unimodal (shape 1) or anti-unimodal (shape
+    -1) by construction about a drawn peak, or as drawn (shape 0)."""
+    values = draw(st.lists(st.sampled_from((0.0, -0.0, top / 2, top)), min_size=m, max_size=m))
+    if shape:  # sorted keeps the drawn order of tied zeros
+        peak = draw(st.integers(0, m))
+        values = sorted(values[:peak], reverse=shape < 0) + sorted(values[peak:], reverse=shape > 0)
+    return values
+
+
+@st.composite
+def _mixed_rows(draw, m, depth):
+    """Values of an instance whose (level, channel) rows each are well
+    shaped or as drawn, so that one instance mixes rows that pass the row
+    test with rows that fail it.  A level's positive row is the first
+    level's halved, which keeps both its shape and the level order."""
+    def row(top, sign):
+        return draw(_row(m, top, draw(st.sampled_from((sign, 0)))))
+
+    positive = row(0.375, 1)
+    levels = [
+        ([v * 0.5**k for v in positive], row(0.375, 1), row(0.25, -1))
+        for k in range(depth)
+    ]
+    return [[(p[i], n[i], g[i]) for p, n, g in levels] for i in range(m)]
+
+
+@st.composite
 def _exact_cases(draw):
-    m = draw(st.sampled_from((1, 2, 3, 5, 8)))
+    m = draw(st.sampled_from((1, 2, 3, 5, 8, 13, 40)))
     depth = draw(st.integers(1, 4))
     if draw(st.booleans()):
         points = [float(i) for i in range(m)]
@@ -427,7 +457,9 @@ def _exact_cases(draw):
         points = [draw(st.floats(-5.0, 5.0))]
         for step in steps:
             points.append(points[-1] + step)
-    mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "band")))
+    mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "band", "mixed")))
+    if mode == "mixed":
+        return multiset_from_values(points, draw(_mixed_rows(m, depth)))
     values = [draw(st.lists(_triples(mode), min_size=depth, max_size=depth)) for _ in range(m)]
     # levels sorted by positive degree keep that channel nonincreasing
     values = [sorted(levels, key=lambda t: -t[0]) for levels in values]
@@ -435,15 +467,156 @@ def _exact_cases(draw):
 
 
 class TestExactDifferential:
+    # Instances below _ROW_TEST_TRIPLES scan every row; with the gate at 0 the
+    # same cases take the row test, the gather and the scatter.
     @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(_exact_cases())
-    def test_report_and_hull_bits_match_scalar_references(self, ms):
-        assert _outcome(is_convex_exact, ms) == _outcome(_reference_exact, ms)
-        hull = convex_hull(ms)
+    @given(_exact_cases(), st.sampled_from((None, 0)))
+    def test_report_and_hull_bits_match_scalar_references(self, ms, gate):
+        with pytest.MonkeyPatch.context() as patch:
+            if gate is not None:
+                patch.setattr(convexity, "_ROW_TEST_TRIPLES", gate)
+            report = _outcome(is_convex_exact, ms)
+            hull = convex_hull(ms)
+        assert report == _outcome(_reference_exact, ms)
         values, mask = _reference_hull(ms)
         assert hull.values.dtype == values.dtype and hull.values.shape == values.shape
         assert hull.values.tobytes() == values.tobytes()
         assert hull.mask.dtype == bool and hull.mask.tolist() == mask
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_grids_match_scalar_references(self, seed):
+        # Above the gate without patching: a unimodal grid of 300 nodes whose
+        # plateaus mix 0.0 and -0.0, with one node at the peak dipping on a
+        # seeded channel (the positive one at every level, to keep their order).
+        rng = random.Random(seed)
+        m, depth = 300, 3
+        rise = sorted(rng.choice((0.0, -0.0, 0.125, 0.25)) for _ in range(m // 2))
+        values = [[[b * 0.5**k, b, 0.25 - b] for k in range(depth)] for b in rise + rise[::-1]]
+        i, c, k = m // 2 + rng.randrange(-4, 4), rng.randrange(3), rng.randrange(depth)
+        for level in values[i] if c == 0 else values[i][k : k + 1]:
+            level[c] = 0.25 if c == 2 else 0.0
+        ms = multiset_from_values([float(x) for x in range(m)], values)
+        assert ms.size * ms.depth >= convexity._ROW_TEST_TRIPLES
+        assert not is_convex_exact(ms).convex
+        assert _outcome(is_convex_exact, ms) == _outcome(_reference_exact, ms)
+        assert convex_hull(ms).values.tobytes() == _reference_hull(ms)[0].tobytes()
+
+
+def _reference_upper(xs, vs, threshold):
+    """{x : v(x) >= threshold} as one piece per segment that meets it,
+    each crossing solved and clamped into its segment, merged by
+    CutRegion."""
+    if len(xs) == 1:
+        return CutRegion(((xs[0], xs[0]),) if vs[0] >= threshold else ())
+    pieces = []
+    for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+        in0, in1 = v0 >= threshold, v1 >= threshold
+        if in0 and in1:
+            pieces.append((x0, x1))
+        elif in0 or in1:
+            xc = min(max(x0 + (threshold - v0) / (v1 - v0) * (x1 - x0), x0), x1)
+            pieces.append((x0, xc) if in0 else (xc, x1))
+    return CutRegion(tuple(pieces))
+
+
+def _reference_cut(ms, thresholds, level):
+    r, s, t = thresholds
+    xs, nodes = ms.grid.points, ms.values[:, level - 1].tolist()
+    region = _reference_upper(xs, [p for p, _, _ in nodes], r)
+    region = region.intersect(_reference_upper(xs, [n for _, n, _ in nodes], s))
+    return region.intersect(_reference_upper(xs, [-g for _, _, g in nodes], -t))
+
+
+def _region_outcome(solve, *args):
+    """Every endpoint as float.hex, which tells -0.0 from 0.0; or the
+    error raised."""
+    try:
+        region = solve(*args)
+    except PfmsError as exc:
+        return ("raises", type(exc), str(exc))
+    return [(a.hex(), b.hex()) for a, b in region.intervals]
+
+
+@st.composite
+def _cut_cases(draw):
+    m = draw(st.sampled_from((1, 2, 3, 4, 6, 9)))
+    depth = draw(st.integers(1, 3))
+    domain = draw(st.sampled_from(("integers", "signed-zero", "ulp-lattice", "uneven")))
+    if domain == "integers":
+        points = [float(i) for i in range(m)]
+    elif domain == "signed-zero":  # -0.0 is a node, inside or at an end
+        shift = draw(st.integers(0, m - 1))
+        points = [float(i - shift) or -0.0 for i in range(m)]
+    elif domain == "ulp-lattice":  # every crossing rounds onto a node
+        points = [2.0**52 + i for i in range(m)]
+    else:
+        steps = draw(st.lists(st.floats(1e-3, 3.0), min_size=m - 1, max_size=m - 1))
+        points = [draw(st.floats(-5.0, 5.0))]
+        for step in steps:
+            points.append(points[-1] + step)
+    mode = draw(st.sampled_from(("lattice", "signed-zeros", "continuous", "band", "mixed")))
+    if mode == "mixed":
+        values = draw(_mixed_rows(m, depth))
+    else:
+        values = [draw(st.lists(_triples(mode), min_size=depth, max_size=depth)) for _ in range(m)]
+        values = [sorted(levels, key=lambda t: -t[0]) for levels in values]
+    level = draw(st.integers(1, depth))
+    # thresholds at node values (of either sign of zero), or anywhere
+    thresholds = []
+    for c in range(3):
+        nodes = [levels[level - 1][c] for levels in values]
+        at_node = st.sampled_from(nodes + [0.0, -0.0, 1.0])
+        thresholds.append(draw(st.one_of(at_node, st.floats(0.0, 1.0))))
+    return points, values, tuple(thresholds), level
+
+
+class TestCutDifferential:
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(_cut_cases())
+    def test_intervals_match_scalar_reference(self, case):
+        points, values, thresholds, level = case
+        ms = multiset_from_values(points, values)
+        expected = _region_outcome(_reference_cut, ms, thresholds, level)
+        assert _region_outcome(cut, ms, thresholds, level) == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from((-1.5e308, -1e308, -1.0, -0.0, 1.0, 1e308, 1.5e308)),
+            min_size=2, max_size=6, unique=True,
+        ).map(sorted).filter(lambda xs: any(b - a == math.inf for a, b in zip(xs, xs[1:]))),
+        st.data(),
+    )
+    def test_overflowing_spans_match_scalar_reference(self, xs, data):
+        # No grid has a span that overflows, so this calls the solver on
+        # node arrays: where x1 - x0 is inf, a crossing clamps onto x1, or
+        # is NaN when the threshold equals v0, which CutRegion refuses.  The
+        # solver's message then names the start of the whole piece, not of
+        # the segment, so only the error type is compared.
+        values = (0.0, -0.0, 0.25, 0.5, 1.0)
+        vs = data.draw(st.lists(st.sampled_from(values), min_size=len(xs), max_size=len(xs)))
+        threshold = data.draw(st.sampled_from(values + (0.1, 0.75)))
+        expected = _region_outcome(_reference_upper, xs, vs, threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _region_outcome(convexity._upper_region, np.array(xs), np.array(vs), threshold)
+        if isinstance(expected, tuple):  # raised
+            assert got[:2] == expected[:2] and "nan" in got[2]
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("points, negative, expected", [
+        # t = 0.0 makes the negated threshold -0.0, equal to the negated
+        # node value 0.0 at x = -0.0, where the exit is solved as 0.0: it
+        # merges into the segment that ends at -0.0, which keeps its sign,
+        # but where the region starts at that node it stays 0.0
+        ([-1.0, -0.0, 1.0], [-0.0, -0.0, 0.5], [(-1.0, -0.0)]),
+        ([-0.0, 1.0], [-0.0, 0.5], [(-0.0, 0.0)]),
+    ])
+    def test_exit_onto_a_signed_zero_node(self, points, negative, expected):
+        ms = multiset_from_values(points, [[[0.0, 0.0, g]] for g in negative])
+        got = _region_outcome(cut, ms, (0.0, 0.0, 0.0), 1)
+        assert got == [(a.hex(), b.hex()) for a, b in expected]
+        assert got == _region_outcome(_reference_cut, ms, (0.0, 0.0, 0.0), 1)
 
 
 class TestCut:

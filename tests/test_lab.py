@@ -384,6 +384,24 @@ class TestSuites:
             result = run_suite("hull-properties", 200, 0)
         assert "hull-law-violation" in {record["kind"] for record in result.failures}
 
+    def test_law_check_runs_once_per_trial_on_a_checkable_hull(self):
+        # Even trials check the laws on the oracle-matched hull, odd ones
+        # only on the planted instance: the unplanted convex input equals
+        # its hull, so the laws hold there by construction.  Trial 15 is
+        # odd on a two-point grid, which has no node to plant at.
+        calls = []
+        real = pfms.lab._hull_law_violation
+
+        def spy(ms, field):
+            calls.append(pfms.convexity.is_convex_exact(ms).convex)
+            return real(ms, field)
+
+        with mock.patch.object(pfms.lab, "_hull_law_violation", spy):
+            assert run_suite("hull-properties", 30, 0).passed
+        trials = [idx for idx in range(30) if idx != 15]
+        assert len(calls) == len(trials)
+        assert not any(convex for idx, convex in zip(trials, calls) if idx % 2)
+
     def test_counterexample_replays(self):
         result = run_suite("hull-theorem-discrepancy", 6, seed=2)
         for record in result.failures:
