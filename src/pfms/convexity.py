@@ -16,9 +16,18 @@ triples most rows need no scan: a row in which no strict rise follows a
 strict fall is unimodal, so it has no dip and is its own least unimodal
 majorant, bit for bit (see _dipping_rows).  One pass of comparisons in
 the stored (points, levels, 3) layout finds the rows that fail this
-test; only those are gathered into a contiguous signed copy and scanned,
-the exact check reads its verdicts off them, the hull writes their
-envelopes back, and an instance with no such row is its own hull.
+test, and one window of nodes, from the earliest first strict fall to
+the latest last strict rise among them plus one node, outside which
+each of them is nondecreasing before and nonincreasing after.  Only
+the window of those rows is gathered into a contiguous signed copy and
+scanned: a running maximum seeded at a window edge holds the bits of a
+whole-row scan there, and no node outside the window dips.  The exact
+check reads its verdicts off the window and shifts its witness by the
+window's start; an instance with no such row is convex and its own
+hull.  The hull copies the grade array once, writes the envelopes over
+the window, and checks the sum bound only on the window's triples of
+the levels it changed: every other triple is the input's, which
+construction checked with the same float expression.
 Smaller instances, where the test's fixed cost would outweigh the scans,
 scan every row of a channel-major copy, shape (levels, 3, points), made
 in one numpy call.  Either way each row sees the operations of a scan
@@ -136,6 +145,11 @@ class JensenReport:
     slacks: tuple[float, float, float]
 
 
+def _within_sum(values: np.ndarray) -> np.ndarray:
+    """Per triple of a (..., 3) array, whether it keeps the sum bound."""
+    return (values[..., 0] + values[..., 1]) + values[..., 2] <= 1.0 + TOL_SUM
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class GradeField:
     """Per-node, per-level channel values without the sum constraint.
@@ -155,7 +169,7 @@ class GradeField:
     def from_envelopes(cls, grid: DomainGrid, values: np.ndarray) -> "GradeField":
         """Field of an envelope array, each triple flagged against the sum bound."""
         values = np.array(values, dtype=np.float64, order="C")
-        mask = (values[..., 0] + values[..., 1]) + values[..., 2] <= 1.0 + TOL_SUM
+        mask = _within_sum(values)
         values.setflags(write=False)
         mask.setflags(write=False)
         return cls(grid, values, mask)
@@ -277,10 +291,11 @@ def _channel_major(values: np.ndarray) -> np.ndarray:
 _ROW_TEST_TRIPLES = 768
 
 
-def _dipping_rows(values: np.ndarray) -> np.ndarray:
+def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
     """Rows, as flat indices 3 * level + channel, of an (points, levels, 3)
     grade array whose signed node sequence has a strict rise after a
-    strict fall: the rows that are not unimodal.
+    strict fall: the rows that are not unimodal; and the window of nodes
+    that holds every dip of those rows.
 
     A unimodal row, plateaus included, has no dip, as every node is at
     least all nodes on one of its sides.  For the same reason it is its
@@ -289,9 +304,17 @@ def _dipping_rows(values: np.ndarray) -> np.ndarray:
     on ties, so it is the row itself, and the one from the other side is
     no smaller, so the pick of the smaller keeps the row.  The comparisons
     run in the stored layout, where they are contiguous, and find each
-    row's first fall and last rise with argmax."""
+    row's first fall and last rise with argmax.
+
+    The window runs from the earliest first fall to the latest last rise
+    among the returned rows, plus one node.  Before it every returned row
+    is nondecreasing and after it nonincreasing, so by the argument above
+    a running maximum seeded at a window edge holds the bits a scan of
+    the whole row has there, and no node outside the window dips: scans
+    of the window alone give the whole rows' deficits, references and
+    envelopes inside it, and outside it each row is its own envelope."""
     if len(values) < 3:  # a dip needs a node between two others
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), slice(0, 0)
     lo, hi = values[:-1], values[1:]
     fall, rise = hi < lo, hi > lo
     # the negative channel is signed by negation: its rises are falls
@@ -302,7 +325,11 @@ def _dipping_rows(values: np.ndarray) -> np.ndarray:
     last_rise = len(lo) - 1 - rise[::-1].argmax(axis=0)
     j = np.arange(fall.shape[1])
     dips = fall[first_fall, j] & rise[last_rise, j] & (first_fall < last_rise)
-    return np.flatnonzero(dips)
+    rows = np.flatnonzero(dips)
+    if not rows.size:
+        return rows, slice(0, 0)
+    # segment i joins nodes i and i + 1
+    return rows, slice(int(first_fall[rows].min()), int(last_rise[rows].max()) + 2)
 
 
 def _signed_rows(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -330,7 +357,13 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     values are unimodal, and quasi-convex exactly when anti-unimodal, so
     this finite test decides the full segment definition.  The witness, if
     any, is the deepest offending node of the first failing level and
-    channel, with its nearest adequate flanks."""
+    channel, with its nearest adequate flanks.
+
+    From _ROW_TEST_TRIPLES triples only the rows and the window of
+    _dipping_rows are scanned, and the witness's node indices are shifted
+    by the window's start: the flanks are found inside the window, as a
+    running maximum reaches its value at a node it has scanned.  With no
+    such row the instance is convex at once."""
     witness: Witness | None = None
     if ms.size * ms.depth < _ROW_TEST_TRIPLES:
         signed = _channel_major(ms.values)
@@ -341,8 +374,10 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
             c = int(bad[k].any(axis=-1).argmax())
             witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP))
     else:  # rows without a rise after a fall have no dip
-        rows = _dipping_rows(ms.values)
-        signed = _signed_rows(ms.values, rows)
+        rows, win = _dipping_rows(ms.values)
+        if not rows.size:
+            return ConvexityReport(convex=True, levels=(True,) * ms.depth)
+        signed = _signed_rows(ms.values[win], rows)
         deficit, ref = _dips(signed)
         bad = np.flatnonzero((deficit > TOL_CMP).any(axis=-1))
         failed = set((rows[bad] // 3).tolist())
@@ -351,7 +386,7 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
             i = bad[0]
             k, c = divmod(int(rows[i]), 3)
             dip = _worst_dip(signed[i], TOL_CMP, (deficit[i], ref[i]))
-            witness = _node_witness(ms, k, c, *dip)
+            witness = _node_witness(ms, k, c, *(j + win.start for j in dip))
     levels = tuple([not b for b in level_bad])
     return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
 
@@ -566,21 +601,35 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     least unimodal majorants and the negative channel by its greatest
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
-    flagged invalid rather than repaired."""
+    flagged invalid rather than repaired.
+
+    From _ROW_TEST_TRIPLES triples the grade array is copied once and
+    only the rows of _dipping_rows are rewritten, over its window only,
+    as every row is its own envelope elsewhere.  The mask is then true
+    except on the window's triples of the rewritten levels, which get
+    the sum test; every other triple is the input's and passed the same
+    test at construction."""
     if ms.size * ms.depth < _ROW_TEST_TRIPLES:
         hull = _majorant(_channel_major(ms.values))
         hull *= _ROW_SIGNS
         return GradeField.from_envelopes(ms.grid, hull.transpose(2, 0, 1))
-    # every row without a rise after a fall is its own majorant
-    scan = _dipping_rows(ms.values)
+    # every row without a rise after a fall is its own majorant, and so is
+    # every other row outside the window
+    scan, win = _dipping_rows(ms.values)
+    mask = np.ones(ms.values.shape[:2], dtype=bool)
     if not scan.size:  # its own hull, within the sum bound its construction checked
-        mask = np.ones(ms.values.shape[:2], dtype=bool)
         mask.setflags(write=False)
         return GradeField(ms.grid, ms.values, mask)
     hull = np.array(ms.values)
-    envelopes = _majorant(_signed_rows(ms.values, scan)) * CHANNEL_SIGNS[scan % 3, None]
-    hull.reshape(ms.size, -1)[:, scan] = envelopes.T
-    return GradeField.from_envelopes(ms.grid, hull)
+    part = hull[win]
+    envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
+    part.reshape(len(part), -1)[:, scan] = envelopes.T
+    # only triples of the changed levels inside the window can break the sum bound
+    levels = np.unique(scan // 3)
+    mask[win, levels] = _within_sum(part[:, levels])
+    hull.setflags(write=False)
+    mask.setflags(write=False)
+    return GradeField(ms.grid, hull, mask)
 
 
 def hull_membership_test(

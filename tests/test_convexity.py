@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -466,6 +468,88 @@ def _exact_cases(draw):
     return multiset_from_values(points, values)
 
 
+def _plateau_rows(rng, m, depth):
+    """Well-shaped values of an instance above the row-test gate, with
+    0.0/-0.0 plateaus: each positive and neutral row rises through
+    (0.0, -0.0, 0.125, 0.25) in sorted order and falls back, and each
+    negative row falls through (0.25, 0.125) to a valley of drawn signed
+    zeros and rises back.  The positive row at level k is the first
+    level's times 0.5**k, which keeps the level order."""
+    def profile():
+        half = sorted(rng.choice((0.0, -0.0, 0.125, 0.25)) for _ in range(m // 2))
+        return half + half[::-1]
+
+    base = profile()
+    values = np.empty((m, depth, 3))
+    for k in range(depth):
+        values[:, k, 0] = [b * 0.5**k for b in base]
+        values[:, k, 1] = profile()
+        values[:, k, 2] = [0.25 - b or rng.choice((0.0, -0.0)) for b in profile()]
+    return values
+
+
+def _peak_span(row):
+    """First and last node of a unimodal row's top plateau."""
+    top = np.flatnonzero(row == row.max())
+    return int(top[0]), int(top[-1])
+
+
+def _windowed_case(kind, seed):
+    """An instance of 300 nodes and depth 3 (900 triples, above the row-test
+    gate) with dips planted so that the window of _dipping_rows has the
+    shape ``kind`` names."""
+    rng = random.Random(seed)
+    m, depth = 300, 3
+    v = _plateau_rows(rng, m, depth)
+    if kind == "nested":
+        # a neutral dip at level 1 holds a negative bump at level 2 and a
+        # positive dip at the last level, each in its own narrower window
+        lo, hi = _peak_span(v[:, 0, 1])
+        v[lo + 3 : hi - 3, 0, 1] = 0.125
+        bump = _peak_span(-v[:, 1, 2])
+        mid = sum(bump) // 2 + rng.randrange(-3, 3)
+        v[mid : mid + rng.randrange(1, 4), 1, 2] = 0.125
+        lo, hi = _peak_span(v[:, 2, 0])
+        v[(lo + hi) // 2, 2, 0] = rng.choice((0.0, -0.0))
+    elif kind == "staggered":
+        # the earliest first fall and the latest last rise are in different rows
+        lo, hi = _peak_span(v[:, 0, 1])
+        v[lo + 2, 0, 1] = 0.0
+        lo, hi = _peak_span(v[:, 1, 1])
+        v[hi - 2, 1, 1] = -0.0
+    elif kind == "left-edge":  # a fall from node 0: node 1 dips
+        v[0, 1, 1] = 0.125
+    elif kind == "right-edge":  # a rise into node m - 1: node m - 2 dips
+        v[-1, 0, 2] = 0.125
+    elif kind == "signed-zero-edges":
+        # bumps of the negative rows inside their valleys of signed zeros, so
+        # the window's edge nodes and every reference are 0.0 or -0.0
+        for k in range(depth):
+            lo, hi = _peak_span(-v[:, k, 2])
+            mid = rng.randrange(lo + 2, hi - 3)
+            v[mid : mid + rng.randrange(1, 3), k, 2] = 0.125
+    elif kind == "sum-break":
+        # a last-level neutral dip to 0.0 under a positive peak of 0.875: the
+        # hull lifts it to 0.25, past the sum bound; the neutral rows above it
+        # are flat zero, and a negative bump at level 1 changes that level
+        # within the bound
+        lo, hi = _peak_span(v[:, -1, 1])
+        i = rng.randrange(lo + 1, hi)
+        v[:, :, 0] = 0.0
+        v[:, :-1, 1] = 0.0
+        v[i] = (0.875, 0.0, 0.0)
+        lo, hi = _peak_span(-v[:, 0, 2])
+        v[(lo + hi) // 2, 0, 2] = 0.125
+    return multiset_from_values([float(x) for x in range(m)], v)
+
+
+def _witness_hex(report):
+    w = report.witness
+    return None if w is None else (
+        [float.hex(v) for v in (w.x, w.y, w.lam, w.lhs, w.rhs)] + [w.level, w.channel]
+    )
+
+
 class TestExactDifferential:
     # Instances below _ROW_TEST_TRIPLES scan every row; with the gate at 0 the
     # same cases take the row test, the gather and the scatter.
@@ -500,6 +584,39 @@ class TestExactDifferential:
         assert not is_convex_exact(ms).convex
         assert _outcome(is_convex_exact, ms) == _outcome(_reference_exact, ms)
         assert convex_hull(ms).values.tobytes() == _reference_hull(ms)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [
+        "nested", "staggered", "left-edge", "right-edge", "signed-zero-edges", "sum-break",
+    ])
+    def test_windowed_scans_match_scalar_references(self, kind, seed):
+        # Above the gate without patching, so only the window of the dipping
+        # rows is scanned and the hull's sum test runs on that window alone.
+        ms = _windowed_case(kind, seed)
+        assert ms.size * ms.depth >= convexity._ROW_TEST_TRIPLES
+        rows, win = convexity._dipping_rows(ms.values)
+        assert rows.size and win.stop - win.start < ms.size
+        if kind == "nested":
+            assert len(set((rows // 3).tolist())) > 1 and len(set((rows % 3).tolist())) > 1
+        if kind == "signed-zero-edges":
+            edges = ms.values[[win.start, win.stop - 1], :, 2]
+            assert len(rows) == ms.depth and not edges.any()
+        if kind == "left-edge":
+            assert win.start == 0
+        if kind == "right-edge":
+            assert win.stop == ms.size
+        if kind == "sum-break":
+            assert {0, ms.depth - 1} <= set((rows // 3).tolist())
+        report, expected = is_convex_exact(ms), _reference_exact(ms)
+        assert not report.convex
+        assert _outcome(is_convex_exact, ms) == _outcome(_reference_exact, ms)
+        assert _witness_hex(report) == _witness_hex(expected)
+        hull = convex_hull(ms)
+        values, mask = _reference_hull(ms)
+        assert hull.values.tobytes() == values.tobytes()
+        assert hull.mask.dtype == bool and hull.mask.tolist() == mask
+        assert hull.mask[:, :-1].all()
+        assert bool(hull.mask[:, -1].all()) is (kind != "sum-break")
 
 
 def _reference_upper(xs, vs, threshold):
@@ -766,6 +883,19 @@ class TestConvexHull:
         assert not field.fully_valid
         with pytest.raises(SumExceedsOne):
             field.to_multiset()
+
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_windowed_hull_with_invalid_triples_round_trips(self, how):
+        ms = _windowed_case("sum-break", 0)
+        before = ms.values.tobytes()
+        field = convex_hull(ms)
+        assert ms.values.tobytes() == before
+        assert not field.fully_valid
+        back = pickle.loads(pickle.dumps(field)) if how == "pickle" else copy.deepcopy(field)
+        assert back == field and back is not field
+        for array, copied in ((field.values, back.values), (field.mask, back.mask)):
+            assert copied.dtype == array.dtype and copied.tobytes() == array.tobytes()
+            assert array.flags.writeable is False and copied.flags.writeable is False
 
     def test_bad_levels_raise_what_the_multiset_raises(self, deep_ms):
         field = convex_hull(deep_ms)
