@@ -616,18 +616,16 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     # every row without a rise after a fall is its own majorant, and so is
     # every other row outside the window
     scan, win = _dipping_rows(ms.values)
-    mask = np.ones(ms.values.shape[:2], dtype=bool)
-    if not scan.size:  # its own hull, within the sum bound its construction checked
-        mask.setflags(write=False)
-        return GradeField(ms.grid, ms.values, mask)
-    hull = np.array(ms.values)
-    part = hull[win]
-    envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
-    part.reshape(len(part), -1)[:, scan] = envelopes.T
-    # only triples of the changed levels inside the window can break the sum bound
-    levels = np.unique(scan // 3)
-    mask[win, levels] = _within_sum(part[:, levels])
-    hull.setflags(write=False)
+    hull, mask = ms.values, np.ones(ms.values.shape[:2], dtype=bool)
+    if scan.size:  # else its own hull, within the sum bound its construction checked
+        hull = np.array(ms.values)
+        part = hull[win]
+        envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
+        part.reshape(len(part), -1)[:, scan] = envelopes.T
+        # only triples of the changed levels inside the window can break the sum bound
+        for k in set((scan // 3).tolist()):
+            mask[win, k] = _within_sum(part[:, k])
+        hull.setflags(write=False)
     mask.setflags(write=False)
     return GradeField(ms.grid, hull, mask)
 
