@@ -39,14 +39,17 @@ channels are intersected as interval unions.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
-points), evaluates a block on every level in one array pass with the
-float expressions of PictureFuzzyMultiset.evaluate, negates the negative
-channel in place and compares all channels at once, reducing per level
-only in a block with a violation, so memory does not grow with the
-number of pairs.  Its
-report is the one a scalar loop over pairs, levels, lambdas and channels
-gives, witness and errors included.  Sample counts above
-_MAX_PAIR_SAMPLES or _MAX_LAMBDA_SAMPLES raise TooLarge.
+points).  It takes a block's draws from random.Random.random and scales
+them in one array expression, lo + (hi - lo) * u, which is the float
+expression of random.Random.uniform, so the ends are those of one
+uniform call each.  It evaluates a block on every level in one array
+pass with the float expressions of PictureFuzzyMultiset.evaluate,
+negates the negative channel in place and compares all channels at
+once, reducing per level only in a block with a violation, so memory
+does not grow with the number of pairs.  Its report is the one a scalar
+loop over pairs, levels, lambdas and channels gives, witness and errors
+included.  Sample counts above _MAX_PAIR_SAMPLES or _MAX_LAMBDA_SAMPLES
+raise TooLarge.
 """
 
 from __future__ import annotations
@@ -429,9 +432,12 @@ def is_convex_sampled(
     level_ok = np.ones(ms.depth, dtype=bool)
     witness: Witness | None = None
     block = max(1, _BLOCK_POINTS // (lambda_samples + 2))
+    draw = rng.random
     for start in range(0, pair_samples, block):
         n = min(block, pair_samples - start)
-        ends = np.array([rng.uniform(lo, hi) for _ in range(2 * n)]).reshape(n, 2)
+        # rng.uniform(lo, hi) for each end, in its own float expression
+        ends = lo + (hi - lo) * np.array([draw() for _ in range(2 * n)])
+        ends = ends.reshape(n, 2)
         swap = ends[:, 1] < ends[:, 0]
         ends[swap] = ends[swap, ::-1]
         x, y = ends[:, :1], ends[:, 1:]
@@ -555,6 +561,9 @@ def jensen_check(
     pass."""
     w, grades = _grades_at(ms, points, weights, level)
     z = math.fsum(wi * xi for wi, xi in zip(w, points))
+    # a convex combination lies between its points, but weights summing
+    # to 1 within TOL_SUM can carry z past them, and past the domain's end
+    z = min(max(z, float(min(points))), float(max(points)))
     gz = ms.evaluate(z, level)
     pos_floor = min(g.positive for g in grades)
     neu_floor = min(g.neutral for g in grades)

@@ -28,7 +28,12 @@ the checks alone.  GradeTriple is a frozen slots dataclass with a
 hand-written __init__ that runs these checks and stores the fields
 through the slots' member descriptors, not through the frozen
 __setattr__; evaluate checks a plain int level inline and leaves
-anything else to level_index.
+anything else to level_index.  It reads its six floats by index from a
+flat memoryview of the grade array, a view that copies nothing, made at
+construction and kept in a slot outside the dataclass fields, so ==,
+repr, asdict and astuple see only the grid and the values.  The batch
+evaluator behind the sampled convexity check gives evaluate's bits on
+whole arrays of coordinates (see PictureFuzzyMultiset._evaluate_many).
 
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
@@ -447,8 +452,17 @@ def _grade_array(values, size: int) -> np.ndarray:
     return arr
 
 
+class _FlatGrades:
+    """Holds ``_flat``, a flat float memoryview of an instance's grade
+    array that evaluate reads.  A slot of a base class, not a dataclass
+    field: asdict and astuple would try to copy it, which a memoryview
+    refuses."""
+
+    __slots__ = ("_flat",)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
-class PictureFuzzyMultiset:
+class PictureFuzzyMultiset(_FlatGrades):
     """A picture fuzzy multiset: one grade sequence per grid point.
 
     ``values[i, k]`` is the triple at point i and level k + 1; the
@@ -460,7 +474,9 @@ class PictureFuzzyMultiset:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _grade_array(self.values, len(self.grid)))
+        values = _grade_array(self.values, len(self.grid))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_flat", memoryview(values.reshape(-1)))
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the checks: values stays read-only
@@ -504,11 +520,13 @@ class PictureFuzzyMultiset:
         else:
             k = level_index(level, depth)  # an int subclass passes, the rest raise
         i, t = self.grid.locate(x)
+        f, j = self._flat, 3 * (i * depth + k)  # the triple at point i, level k
         if t is None:
-            return GradeTriple(*self.values[i, k].tolist())
-        (p0, n0, g0), (p1, n1, g1) = self.values[i : i + 2, k].tolist()
+            return GradeTriple(f[j], f[j + 1], f[j + 2])
+        p0, n0, g0 = f[j], f[j + 1], f[j + 2]
+        j += 3 * depth  # the next point
         s = 1.0 - t
-        return GradeTriple(s * p0 + t * p1, s * n0 + t * n1, s * g0 + t * g1)
+        return GradeTriple(s * p0 + t * f[j], s * n0 + t * f[j + 1], s * g0 + t * f[j + 2])
 
     def _evaluate_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What evaluate gives at every coordinate of a float64 array, on
@@ -518,25 +536,43 @@ class PictureFuzzyMultiset:
         evaluate gives, and the bool array, shape xs.shape + (depth,), of
         the evaluations that succeed: False where locate rejects the
         coordinate or the triple fails a GradeTriple check.  The caller
-        re-runs evaluate on a failure to raise its error."""
-        grid = self.grid
+        re-runs evaluate on a failure to raise its error.
+
+        The coordinates are searched in sorted order, which costs numpy's
+        binary search fewer steps than unsorted keys, and each index is
+        put back at its key's place.  Both segment ends are gathered with
+        take, and the blend (1 - t) * v0 + t * v1 is formed in place in
+        the gathered copies, in evaluate's operations.  Coordinates that
+        hit a node then get its stored triple, found by index.  The range
+        test is one comparison over the whole array, folded over the
+        three channels."""
+        grid, values = self.grid, self.values
         pts, lo, hi = grid.coords, grid.lo, grid.hi
         placed = (xs >= grid.lo_reach) & (xs <= grid.hi_reach)  # False for inf and NaN
-        x = np.clip(np.where(placed, xs, lo), lo, hi)
-        i = np.searchsorted(pts, x)  # bisect_left; i < m after clipping
-        node = (pts[i] == x)[..., None, None]
+        x = np.clip(np.where(placed, xs, lo), lo, hi).ravel()
+        # bisect_left, i < m after clipping; a key's index does not depend
+        # on the order the keys are searched in
+        order = np.argsort(x)
+        i = np.empty(x.shape, dtype=np.intp)
+        i[order] = np.searchsorted(pts, x[order])
         left = np.maximum(i - 1, 0)  # the segment's left end unless at a node
-        v0, v1 = self.values[left], self.values[i]
+        x0, x1 = pts.take(left), pts.take(i)
+        grades, v1 = values.take(left, axis=0), values.take(i, axis=0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = ((x - pts[left]) / (pts[i] - pts[left]))[..., None, None]
-            grades = (1.0 - t) * v0
-            grades += t * v1
-            np.copyto(grades, v1, where=node)
+            t = ((x - x0) / (x1 - x0))[:, None, None]
+            grades *= 1.0 - t  # (1 - t) * v0 + t * v1, blended in place
+            v1 *= t
+            grades += v1
+            hit = np.flatnonzero(x1 == x)  # nodes take their triples
+            grades[hit] = values.take(i.take(hit), axis=0)
             ok = (grades[..., 0] + grades[..., 1]) + grades[..., 2] <= _SUM_CAP
-            for c in range(3):  # NaN is out of range
-                ok &= (grades[..., c] >= _UNIT_LO) & (grades[..., c] <= _UNIT_HI)
-        ok &= placed[..., None]
-        return grades, ok
+            in_range = (grades >= _UNIT_LO) & (grades <= _UNIT_HI)  # NaN is out
+        ok &= in_range[..., 0]
+        ok &= in_range[..., 1]
+        ok &= in_range[..., 2]
+        ok &= placed.reshape(-1, 1)
+        shape = xs.shape + values.shape[1:]
+        return grades.reshape(shape), ok.reshape(shape[:-1])
 
 
 def multiset_from_values(

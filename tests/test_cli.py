@@ -432,6 +432,22 @@ class TestJensen:
         assert doc["grades"][0] == pytest.approx(0.4, abs=1e-12)
         assert doc["grades"][2] == pytest.approx(0.3, abs=1e-12)
 
+    def test_weights_summing_past_one_stay_in_the_domain(self, tmp_path, capsys):
+        # the weights sum to one within TOL_SUM, and the weighted point
+        # lies 9e-8 past the domain's end before it is kept between the points
+        doc = dict(CONVEX_DOC, domain=[0.0, 50.0, 100.0])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys,
+            "jensen", str(path),
+            "--points", "100.0,100.0", "--weights", "0.5,0.5000000009",
+        )
+        assert code in (0, 1) and err == ""
+        report = json.loads(out)
+        assert report["point"] == 100.0
+        assert report["ok"] is (code == 0)
+
     def test_bad_weights_is_data_error(self, files, capsys):
         code, _, err = run(
             capsys,

@@ -176,6 +176,14 @@ class TestIsConvexSampled:
         with pytest.raises(PfmsError, match=r"got -<int of 5001 digits>$"):
             is_convex_sampled(convex_ms, 1, -(10**5000))
 
+    def test_grade_array_is_left_as_it_was(self, bimodal_ms):
+        # the check negates a channel of its evaluated copies, never of the
+        # instance's own array
+        before = bimodal_ms.values.tobytes()
+        assert not is_convex_sampled(bimodal_ms, 50, 5, seed=1).convex
+        assert bimodal_ms.values.tobytes() == before
+        assert not bimodal_ms.values.flags.writeable
+
     def test_peak_memory_does_not_grow_with_samples(self, bimodal_ms):
         def peak(pairs):
             tracemalloc.start()
@@ -827,6 +835,19 @@ class TestJensen:
             jensen_check(convex_ms, [0.0, 2.0], [0.5, 0.6], 1)
         with pytest.raises(OutOfDomain):
             jensen_check(convex_ms, [0.0, 5.0], [0.5, 0.5], 1)
+
+
+    @pytest.mark.parametrize("points, end", [([0.0, 50.0, 100.0], 100.0),
+                                             ([-100.0, 0.0, 50.0], -100.0)])
+    def test_weights_summing_past_one_keep_the_point_in_range(self, points, end):
+        # weights that sum to one within TOL_SUM carry the weighted
+        # coordinate 9e-8 past both points, and past the domain's end
+        ms = multiset_from_values(points, [[[0.5, 0.2, 0.1]], [[0.3, 0.2, 0.1]],
+                                           [[0.1, 0.0, 0.9]]])
+        report = jensen_check(ms, [end, end], [0.5, 0.5000000009], 1)
+        assert report.ok and report.point == end
+        assert report.grades == ms.evaluate(end, 1)
+        assert report.slacks == (0.0, 0.0, 0.0)
 
 
 class TestEnvelopes:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import struct
 from pathlib import Path
 
@@ -481,6 +482,32 @@ def test_pickle_and_deepcopy_round_trip(name, how):
             back.positive = 0.0
 
 
+def test_multiset_behaves_as_a_dataclass_of_grid_and_values():
+    # evaluate reads a flat view of the grade array kept outside the
+    # dataclass fields, so the generated methods see the grid and the
+    # values only, and a copy rebuilds the view
+    ms = _round_trip_objects()["multiset"]
+    grid, values = ms.grid, ms.values
+    assert [f.name for f in dataclasses.fields(ms)] == ["grid", "values"]
+    as_dict, as_tuple = dataclasses.asdict(ms), dataclasses.astuple(ms)
+    assert list(as_dict) == ["grid", "values"]
+    assert repr(as_dict["grid"]) == repr(dataclasses.asdict(grid))
+    assert repr(as_tuple[0]) == repr(dataclasses.astuple(grid))
+    for copied in (as_dict["values"], as_tuple[1]):
+        assert copied is not values and copied.tobytes() == values.tobytes()
+    assert repr(ms) == f"PictureFuzzyMultiset(grid={grid!r}, values={values!r})"
+    assert hash(ms) == hash((grid, values.shape, tuple(values.ravel().tolist())))
+    assert not hasattr(ms, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ms.values = values
+    xs = [*grid.points, -0.75, -0.0, 0.0, 0.25, 1.999999999999]
+    for back in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms), copy.copy(ms),
+                 dataclasses.replace(ms)):
+        assert back == ms and hash(back) == hash(ms) and repr(back) == repr(ms)
+        for x, level in itertools.product(xs, (1, 2)):
+            assert repr(back.evaluate(x, level)) == repr(ms.evaluate(x, level))
+
+
 def test_all_lists_exactly_the_imported_public_names():
     tree = ast.parse(Path(pfms.__file__).read_text())
     imported = [
@@ -538,6 +565,40 @@ def test_evaluate_many_matches_evaluate(points, levels):
         for k in range(ms.depth):
             got = repr(tuple(grades[i, k].tolist())) if ok[i, k] else None
             assert (bool(ok[i, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+
+
+# Four levels: at the range bounds of the positive, neutral and negative
+# channel in turn, so flat blends round past one bound of one channel, and
+# one level that varies from point to point.
+def _block_levels(i):
+    return [[1.0 + 1e-9, -1e-9, -0.0], [0.5 - i / 16, i / 8 % 0.5, 0.25],
+            [0.0, 1.0 + 1e-9, -1e-9], [-1e-9, -0.0, 1.0 + 1e-9]]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [(3.0,), (0.0, 2.5), (-2.0, -0.0, 1.5, 4.0), (-1.0, -0.5, 0.0, 0.25, 3.0)],
+)
+def test_evaluate_many_matches_evaluate_on_pair_blocks(points):
+    # the 2-D blocks of the sampled check, one row per pair: keys repeat
+    # (ties in the sorted search), nodes repeat, 0.0 and -0.0 both occur,
+    # and rows come unsorted, sorted up and sorted down
+    ms = multiset_from_values(points, [_block_levels(i) for i in range(len(points))])
+    lo, hi = ms.grid.lo, ms.grid.hi
+    inside = [lo + (hi - lo) * i / 249 for i in range(250)]
+    keys = [*points, *points, 0.0, -0.0, -0.0, 0.0, *inside[::-1], *inside, *points]
+    shuffled = keys[:]
+    random.Random(4).shuffle(shuffled)
+    xs = np.array([keys, sorted(keys), sorted(keys, reverse=True), shuffled])
+    grades, ok = ms._evaluate_many(xs)
+    assert grades.shape == xs.shape + (4, 3) and ok.shape == xs.shape + (4,)
+    for p, j in itertools.product(*map(range, xs.shape)):
+        x = float(xs[p, j])
+        for k in range(ms.depth):
+            got = repr(tuple(grades[p, j, k].tolist())) if ok[p, j, k] else None
+            assert (bool(ok[p, j, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+    if len(points) > 1:  # each bound level has blends that round past it
+        assert not ok[..., [0, 2, 3]].all(axis=(0, 1)).any()
 
 
 # ---------------------------------------------------------------------------
