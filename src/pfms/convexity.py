@@ -560,7 +560,10 @@ def jensen_check(
     Slacks are returned per channel; all slacks >= -TOL_CMP counts as a
     pass."""
     w, grades = _grades_at(ms, points, weights, level)
-    z = math.fsum(wi * xi for wi, xi in zip(w, points))
+    try:
+        z = math.fsum(wi * xi for wi, xi in zip(w, points))
+    except OverflowError:  # a partial sum left the float range: sum halves
+        z = 2.0 * math.fsum((wi * xi) * 0.5 for wi, xi in zip(w, points))
     # a convex combination lies between its points, but weights summing
     # to 1 within TOL_SUM can carry z past them, and past the domain's end
     z = min(max(z, float(min(points))), float(max(points)))

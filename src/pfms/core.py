@@ -461,6 +461,9 @@ class _FlatGrades:
     __slots__ = ("_flat",)
 
 
+_set_flat = _FlatGrades.__dict__["_flat"].__set__
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class PictureFuzzyMultiset(_FlatGrades):
     """A picture fuzzy multiset: one grade sequence per grid point.
@@ -476,7 +479,7 @@ class PictureFuzzyMultiset(_FlatGrades):
     def __post_init__(self) -> None:
         values = _grade_array(self.values, len(self.grid))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_flat", memoryview(values.reshape(-1)))
+        _set_flat(self, memoryview(values.ravel()))  # a view: values is C-ordered
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the checks: values stays read-only
@@ -544,8 +547,8 @@ class PictureFuzzyMultiset(_FlatGrades):
         take, and the blend (1 - t) * v0 + t * v1 is formed in place in
         the gathered copies, in evaluate's operations.  Coordinates that
         hit a node then get its stored triple, found by index.  The range
-        test is one comparison over the whole array, folded over the
-        three channels."""
+        test compares the whole array at once, then folds the three
+        channels."""
         grid, values = self.grid, self.values
         pts, lo, hi = grid.coords, grid.lo, grid.hi
         placed = (xs >= grid.lo_reach) & (xs <= grid.hi_reach)  # False for inf and NaN

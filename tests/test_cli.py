@@ -432,20 +432,23 @@ class TestJensen:
         assert doc["grades"][0] == pytest.approx(0.4, abs=1e-12)
         assert doc["grades"][2] == pytest.approx(0.3, abs=1e-12)
 
-    def test_weights_summing_past_one_stay_in_the_domain(self, tmp_path, capsys):
-        # the weights sum to one within TOL_SUM, and the weighted point
-        # lies 9e-8 past the domain's end before it is kept between the points
-        doc = dict(CONVEX_DOC, domain=[0.0, 50.0, 100.0])
+    @pytest.mark.parametrize("domain", [[0.0, 50.0, 100.0],
+                                        [0.0, 1e308, 1.7976931348623157e308]])
+    def test_weights_summing_past_one_stay_in_the_domain(self, domain, tmp_path, capsys):
+        # the weights sum to one within TOL_SUM and carry the weighted
+        # point past the domain's end, or past the float range, before it
+        # is kept between the points
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(dict(CONVEX_DOC, domain=domain)))
+        end = repr(domain[-1])
         code, out, err = run(
             capsys,
             "jensen", str(path),
-            "--points", "100.0,100.0", "--weights", "0.5,0.5000000009",
+            "--points", f"{end},{end}", "--weights", "0.5,0.5000000009",
         )
         assert code in (0, 1) and err == ""
         report = json.loads(out)
-        assert report["point"] == 100.0
+        assert report["point"] == domain[-1]
         assert report["ok"] is (code == 0)
 
     def test_bad_weights_is_data_error(self, files, capsys):

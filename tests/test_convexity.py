@@ -849,6 +849,19 @@ class TestJensen:
         assert report.grades == ms.evaluate(end, 1)
         assert report.slacks == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_weighted_sum_past_the_float_range(self, sign):
+        # at the largest float the same weights carry the weighted sum past
+        # the float range, where math.fsum raises OverflowError
+        top = sign * 1.7976931348623157e308
+        ms = multiset_from_values(sorted([sign * 1e308, top]),
+                                  [[[0.5, 0.2, 0.1]], [[0.1, 0.0, 0.9]]])
+        report = jensen_check(ms, [top, top], [0.5, 0.5000000009], 1)
+        assert report.point == top and report.grades == ms.evaluate(top, 1)
+        # a sum that fsum can take whole keeps its bits
+        report = jensen_check(ms, [top, sign * 1e308], [0.5, 0.5], 1)
+        assert report.point == math.fsum([0.5 * top, sign * 0.5e308])
+
 
 class TestEnvelopes:
     def test_majorant_frozen_example(self):
