@@ -26,6 +26,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     SumExceedsOne,
+    _within_sum,
     check_unit,
 )
 
@@ -196,17 +197,12 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     except SumExceedsOne:
         pass
     swapped = swapped.copy()
-    for i, k in np.argwhere(_sum(swapped) > 1.0 + TOL_SUM):
+    for i, k in np.argwhere(~_within_sum(swapped)):  # finite: > and not <= agree
         trip = swapped[i, k]
-        while _sum(trip) > 1.0 + TOL_SUM:
+        while not _within_sum(trip):
             top = trip.argmax()
             trip[top] = np.nextafter(trip[top], -np.inf)
     return PictureFuzzyMultiset(a.grid, swapped)
-
-
-def _sum(values: np.ndarray) -> np.ndarray:
-    """Channel sums in the order the sum bound is checked."""
-    return (values[..., 0] + values[..., 1]) + values[..., 2]
 
 
 def convex_combination(

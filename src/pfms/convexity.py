@@ -64,7 +64,6 @@ import numpy as np
 from .core import (
     CHANNEL_SIGNS,
     TOL_CMP,
-    TOL_SUM,
     CHANNELS,
     CutRegion,
     CutThresholds,
@@ -76,6 +75,7 @@ from .core import (
     SumExceedsOne,
     TooLarge,
     _shown,
+    _within_sum,
     channel_index,
     level_index,
 )
@@ -146,11 +146,6 @@ class JensenReport:
     point: float
     grades: GradeTriple
     slacks: tuple[float, float, float]
-
-
-def _within_sum(values: np.ndarray) -> np.ndarray:
-    """Per triple of a (..., 3) array, whether it keeps the sum bound."""
-    return (values[..., 0] + values[..., 1]) + values[..., 2] <= 1.0 + TOL_SUM
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -9,9 +9,12 @@ channel extends by linear interpolation, so all derived quantities stay
 piecewise linear and can be computed exactly.
 
 An instance keeps its grades in one read-only (points, levels, 3) float64
-array, checked with the float expressions of the scalar GradeTriple and
-GradeSequence checks; those re-run on the first bad point to raise their
-error.  An array of at most _SCALAR_TRIPLES (32) triples is checked in
+array, checked with the float expressions of the scalar checks, a
+GradeTriple per level and then _check_levels on the point's levels;
+every array sum test in the package is _within_sum.  The scalar checks
+re-run on the first bad point to raise its error, and check point by
+point any input real_array refuses (another dtype, objects, ragged
+levels).  An array of at most _SCALAR_TRIPLES (32) triples is checked in
 one Python pass over its nested lists, a larger one in whole-array numpy
 passes, whose fixed cost would outweigh the work in the small instances
 the lab builds by the thousand (see first_invalid_point).  Pickle and
@@ -111,8 +114,9 @@ _SUM_CAP = 1.0 + TOL_SUM
 
 def _float_or_inf(value: float) -> float:
     """float(value), or a same-signed infinity for an int beyond the float
-    range, which float() refuses with OverflowError.  Callers try float()
-    first and call this only on OverflowError, keeping it off fast paths."""
+    range, which float() refuses with OverflowError.  The scalar checks
+    call it for every conversion; DomainGrid converts its coordinates with
+    one map(float) and falls back to it only on OverflowError."""
     try:
         return float(value)
     except OverflowError:
@@ -140,10 +144,7 @@ def check_unit(value: float, label: str = "value") -> float:
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise OutOfUnitInterval(f"{label} must be a real number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        v = _float_or_inf(value)
+    v = _float_or_inf(value)
     if not math.isfinite(v) or v < _UNIT_LO or v > _UNIT_HI:
         # an int beyond the float range shows as the infinity it overflows to
         shown = v if math.isinf(v) else value
@@ -212,46 +213,6 @@ def channel_index(name: str) -> int:
     if name not in CHANNELS:
         raise PfmsError(f"unknown channel {name!r}")
     return CHANNELS.index(name)
-
-
-@dataclass(frozen=True, slots=True)
-class GradeSequence:
-    """The level sequence carried by one grid point.
-
-    The positive channel must be nonincreasing from level 1 downwards;
-    neutral and negative levels are free.
-    """
-
-    levels: tuple[GradeTriple, ...]
-
-    def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise LengthMismatch("a grade sequence needs at least one level")
-        for t in levels:
-            if not isinstance(t, GradeTriple):
-                raise PfmsError(f"expected GradeTriple, got {t!r}")
-        for k in range(len(levels) - 1):
-            if levels[k + 1].positive > levels[k].positive + TOL_CMP:
-                raise PositiveOrderViolation(
-                    "positive channel must be nonincreasing across levels: "
-                    f"level {k + 1} has {levels[k].positive!r}, "
-                    f"level {k + 2} has {levels[k + 1].positive!r}"
-                )
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self) -> Iterator[GradeTriple]:
-        return iter(self.levels)
-
-    def __getitem__(self, k: int) -> GradeTriple:
-        return self.levels[k]
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,10 +286,7 @@ class DomainGrid:
         if not (type(x) is float and self.lo_reach <= x <= self.hi_reach):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise OutOfDomain(f"coordinate must be a real number, got {x!r}")
-            try:
-                x = float(x)
-            except OverflowError:
-                x = _float_or_inf(x)
+            x = _float_or_inf(x)
             if not math.isfinite(x):
                 raise OutOfDomain(f"coordinate {x!r} is not finite")
             if x < self.lo_reach or x > self.hi_reach:
@@ -356,13 +314,35 @@ def level_index(level: int, depth: int) -> int:
     return level - 1
 
 
-def _point_grades(per_point) -> GradeSequence:
-    """Scalar check of one point's levels: raises the scalar error."""
-    if isinstance(per_point, GradeSequence):
-        return per_point
+def _check_levels(triples: Sequence[GradeTriple]) -> None:
+    """Raise the error of a point whose checked level triples break the
+    level rules: at least one level, and the positive channel
+    nonincreasing from level 1 down, up to TOL_CMP."""
+    if not triples:
+        raise LengthMismatch("a grade sequence needs at least one level")
+    for k in range(len(triples) - 1):
+        if triples[k + 1].positive > triples[k].positive + TOL_CMP:
+            raise PositiveOrderViolation(
+                "positive channel must be nonincreasing across levels: "
+                f"level {k + 1} has {triples[k].positive!r}, "
+                f"level {k + 2} has {triples[k + 1].positive!r}"
+            )
+
+
+def _point_triples(per_point) -> list[GradeTriple]:
+    """The checked triples of one point's levels, or the scalar error of
+    the first check they fail."""
     if isinstance(per_point, np.ndarray):
         per_point = per_point.tolist()
-    return GradeSequence(tuple(GradeTriple(*level) for level in per_point))
+    triples = [GradeTriple(*level) for level in per_point]
+    _check_levels(triples)
+    return triples
+
+
+def _within_sum(values: np.ndarray) -> np.ndarray:
+    """Per triple of a (..., 3) array, whether it keeps the sum bound, in
+    GradeTriple's float expression."""
+    return (values[..., 0] + values[..., 1]) + values[..., 2] <= _SUM_CAP
 
 
 def real_array(values) -> np.ndarray | None:
@@ -394,7 +374,7 @@ _SCALAR_TRIPLES = 32
 def first_invalid_point(arr: np.ndarray) -> int:
     """Index of the first point of an (m, depth, 3) array that fails the
     range, sum or level-order check, or m when none does.  The float
-    expressions are those of check_unit, GradeTriple and GradeSequence.
+    expressions are those of check_unit, GradeTriple and _check_levels.
 
     An array of at most _SCALAR_TRIPLES triples is checked in one Python
     pass over its nested lists, a larger one by _first_invalid_vectorised;
@@ -422,29 +402,32 @@ def first_invalid_point(arr: np.ndarray) -> int:
 
 def _first_invalid_vectorised(arr: np.ndarray) -> int:
     """first_invalid_point in whole-array passes, for any size."""
-    in_range = (arr >= -TOL_CMP) & (arr <= 1.0 + TOL_CMP)  # NaN is out
+    in_range = (arr >= _UNIT_LO) & (arr <= _UNIT_HI)  # NaN is out
     end = len(arr) if in_range.all() else int(in_range.all(axis=(1, 2)).argmin())
     head = arr[:end]  # finite, so the sums below cannot overflow
     pos = head[..., 0]
-    bad = (pos + head[..., 1]) + head[..., 2] > 1.0 + TOL_SUM
+    bad = ~_within_sum(head)
     bad[:, 1:] |= pos[:, 1:] > pos[:, :-1] + TOL_CMP
     bad = bad.any(axis=1)
     return int(bad.argmax()) if bad.any() else end
 
 
 def _grade_array(values, size: int) -> np.ndarray:
-    """Validated read-only array of ``values`` (an array, nested numbers or
-    GradeSequence objects), raising what per-point construction would."""
+    """Validated read-only float64 array of ``values``, an array or nested
+    numbers, raising the scalar error of the first bad point (see
+    _point_triples).  Input that real_array refuses, such as arrays of
+    another dtype, objects or ragged levels, is checked point by point
+    and converted from the checked triples."""
     if not isinstance(values, (list, tuple, np.ndarray)):
         values = tuple(values)
     arr = real_array(values)
     bad = 0 if arr is None else first_invalid_point(arr)
     # raises at the first bad point; runs over all points only if arr is None
-    grades = [_point_grades(p) for p in values[bad:]] if bad < len(values) else ()
+    grades = [_point_triples(p) for p in values[bad:]] if bad < len(values) else ()
     if len(values) != size:
         raise LengthMismatch(f"{size} grid points but {len(values)} grade sequences")
     if arr is None:
-        depths = {seq.depth for seq in grades}
+        depths = set(map(len, grades))
         if len(depths) > 1:
             raise RaggedDepth(f"level counts differ across points: {sorted(depths)}")
         arr = np.array([[t.as_tuple() for t in seq] for seq in grades], dtype=np.float64)
@@ -466,10 +449,12 @@ _set_flat = _FlatGrades.__dict__["_flat"].__set__
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PictureFuzzyMultiset(_FlatGrades):
-    """A picture fuzzy multiset: one grade sequence per grid point.
+    """A picture fuzzy multiset: one sequence of level triples per grid
+    point.
 
-    ``values[i, k]`` is the triple at point i and level k + 1; the
-    constructor also takes nested numbers or GradeSequence objects.
+    ``values[i, k]`` is the triple at point i and level k + 1.  The
+    constructor takes an (m, depth, 3) array or nested numbers and raises
+    the scalar error of the first bad point (see _grade_array).
     Evaluation between grid points interpolates each channel linearly and
     reproduces stored triples exactly at the nodes."""
 
@@ -493,11 +478,6 @@ class PictureFuzzyMultiset(_FlatGrades):
     def __hash__(self) -> int:
         # float hashing, unlike the raw bytes, equates 0.0 with -0.0 as == does
         return hash((self.grid, self.values.shape, tuple(self.values.ravel().tolist())))
-
-    @property
-    def grades(self) -> tuple[GradeSequence, ...]:
-        """Scalar view built on demand: one GradeSequence per point."""
-        return tuple(map(_point_grades, self.values.tolist()))
 
     @property
     def depth(self) -> int:
@@ -568,7 +548,7 @@ class PictureFuzzyMultiset(_FlatGrades):
             grades += v1
             hit = np.flatnonzero(x1 == x)  # nodes take their triples
             grades[hit] = values.take(i.take(hit), axis=0)
-            ok = (grades[..., 0] + grades[..., 1]) + grades[..., 2] <= _SUM_CAP
+            ok = _within_sum(grades)
             in_range = (grades >= _UNIT_LO) & (grades <= _UNIT_HI)  # NaN is out
         ok &= in_range[..., 0]
         ok &= in_range[..., 1]
@@ -589,7 +569,7 @@ def multiset_from_values(
         grid = DomainGrid(tuple(points))
     except PfmsError:
         for per_point in values:  # a bad grade is reported before a bad grid
-            _point_grades(per_point)
+            _point_triples(per_point)
         raise
     return PictureFuzzyMultiset(grid, values)
 
@@ -633,10 +613,7 @@ class CutRegion:
         lo, hi = -math.inf, math.inf
         for pair in self.intervals:
             a, b = pair
-            try:
-                a, b = float(a), float(b)
-            except OverflowError:
-                a, b = _float_or_inf(a), _float_or_inf(b)
+            a, b = _float_or_inf(a), _float_or_inf(b)
             if not lo < a <= b < hi:
                 raise MalformedRegion(
                     f"interval [{a!r}, {b!r}] is reversed or not finite"

@@ -40,10 +40,10 @@ from typing import Any, Iterator
 
 from .core import (
     DomainGrid,
-    GradeSequence,
     GradeTriple,
     PfmsError,
     PictureFuzzyMultiset,
+    _check_levels,
     _shown,
     first_invalid_point,
     real_array,
@@ -171,7 +171,7 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
             except PfmsError as exc:
                 raise type(exc)(f"{path}: {exc}") from None
         try:
-            GradeSequence(tuple(levels))
+            _check_levels(levels)
         except PfmsError as exc:
             raise type(exc)(f"elements[{i}]: {exc}") from None
     return PictureFuzzyMultiset(grid, values)

@@ -35,7 +35,7 @@ def single(*triple):
 
 
 def triple_at(ms, node=0, level=1):
-    return ms.grades[node][level - 1].as_tuple()
+    return tuple(ms.values[node, level - 1].tolist())
 
 
 class TestWeights:
@@ -204,10 +204,8 @@ class TestComplement:
 
     def test_involution_up_to_level_reordering(self, deep_ms):
         back = complement(complement(deep_ms))
-        for seq_a, seq_b in zip(back.grades, deep_ms.grades):
-            assert sorted(t.as_tuple() for t in seq_a) == sorted(
-                t.as_tuple() for t in seq_b
-            )
+        for seq_a, seq_b in zip(back.values.tolist(), deep_ms.values.tolist()):
+            assert sorted(map(tuple, seq_a)) == sorted(map(tuple, seq_b))
 
     def test_single_level_duality(self, convex_ms, bimodal_ms):
         lhs = complement(union(convex_ms, bimodal_ms))
@@ -221,8 +219,8 @@ class TestComplement:
         b = multiset_from_values((0.0,), [[[0.5, 0.0, 0.4], [0.4, 0.0, 0.05]]])
         lhs = complement(union(a, b))
         rhs = intersection(complement(a), complement(b))
-        lhs_levels = sorted(t.as_tuple() for t in lhs.grades[0])
-        rhs_levels = sorted(t.as_tuple() for t in rhs.grades[0])
+        lhs_levels = sorted(map(tuple, lhs.values[0].tolist()))
+        rhs_levels = sorted(map(tuple, rhs.values[0].tolist()))
         assert lhs_levels != rhs_levels
 
 
@@ -254,7 +252,7 @@ class TestConvexCombination:
             ],
         )
         out = convex_combination(deep_ms, other, 0.3)
-        assert out.grades[0][0].positive >= out.grades[0][1].positive
+        assert out.values[0, 0, 0] >= out.values[0, 1, 0]
 
     def test_grid_mismatch(self, convex_ms):
         other = multiset_from_values((0.0, 1.0, 3.0), [[[0.1, 0.1, 0.1]]] * 3)

@@ -891,7 +891,7 @@ class TestConvexHull:
         field = convex_hull(convex_ms)
         assert field.fully_valid
         for i in range(convex_ms.size):
-            assert tuple(field.values[i][0]) == convex_ms.grades[i][0].as_tuple()
+            assert tuple(field.values[i][0]) == tuple(convex_ms.values[i, 0].tolist())
 
     def test_bimodal_hull_frozen(self, bimodal_ms):
         field = convex_hull(bimodal_ms)

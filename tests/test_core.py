@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _frozen
 import pfms
 from pfms import (
     BadLevel,
     CutRegion,
     CutThresholds,
     DomainGrid,
-    GradeSequence,
     GradeTriple,
     InvalidGrid,
     LengthMismatch,
@@ -30,6 +30,7 @@ from pfms import (
     PictureFuzzyMultiset,
     RaggedDepth,
     PositiveOrderViolation,
+    SchemaError,
     SumExceedsOne,
     TOL_CMP,
     TOL_SUM,
@@ -101,24 +102,54 @@ class TestGradeTriple:
             t.channel("sideways")
 
 
+def _one_point_document(levels):
+    return json.dumps({"format_version": "1", "domain": [0.0], "depth": len(levels),
+                       "elements": [levels]})
+
+
+def _one_point_builds(levels):
+    """The one-point instance of ``levels`` from multiset_from_values and
+    from parse_instance."""
+    return (multiset_from_values((0.0,), [levels]),
+            parse_instance(_one_point_document(levels)))
+
+
 class TestGradeSequence:
+    """The level rules of one point's grade sequence, through both builds."""
+
     def test_positive_order_enforced(self):
-        GradeSequence((GradeTriple(0.7, 0.1, 0.1), GradeTriple(0.4, 0.2, 0.2)))
-        with pytest.raises(PositiveOrderViolation):
-            GradeSequence((GradeTriple(0.3, 0.1, 0.1), GradeTriple(0.5, 0.1, 0.1)))
+        ms, parsed = _one_point_builds([[0.7, 0.1, 0.1], [0.4, 0.2, 0.2]])
+        assert ms == parsed and ms.depth == 2
+        for levels, k in (([[0.3, 0.1, 0.1], [0.5, 0.1, 0.1]], 1),
+                          ([[0.5, 0.1, 0.1], [0.3, 0.1, 0.1], [0.5, 0.1, 0.1]], 2)):
+            message = (
+                "positive channel must be nonincreasing across levels: "
+                f"level {k} has 0.3, level {k + 1} has 0.5"
+            )
+            with pytest.raises(PositiveOrderViolation) as err:
+                multiset_from_values((0.0,), [levels])
+            assert str(err.value) == message
+            with pytest.raises(PositiveOrderViolation) as err:
+                parse_instance(_one_point_document(levels))
+            assert str(err.value) == f"elements[0]: {message}"
 
     def test_equal_positive_values_allowed(self):
-        seq = GradeSequence((GradeTriple(0.4, 0.0, 0.0), GradeTriple(0.4, 0.3, 0.1)))
-        assert seq.depth == 2
+        ms, parsed = _one_point_builds([[0.4, 0.0, 0.0], [0.4, 0.3, 0.1]])
+        assert ms == parsed and ms.depth == 2
 
     def test_order_slack_within_tolerance(self):
-        GradeSequence(
-            (GradeTriple(0.4, 0.0, 0.0), GradeTriple(0.4 + TOL_CMP / 2, 0.0, 0.0))
-        )
+        ms, parsed = _one_point_builds([[0.4, 0.0, 0.0], [0.4 + TOL_CMP / 2, 0.0, 0.0]])
+        assert ms == parsed and ms.values[0, 1, 0] == 0.4 + TOL_CMP / 2
 
     def test_empty_rejected(self):
-        with pytest.raises(LengthMismatch):
-            GradeSequence(())
+        for empty in ([[]], np.zeros((1, 0, 3))):
+            with pytest.raises(LengthMismatch) as err:
+                multiset_from_values((0.0,), empty)
+            assert str(err.value) == "a grade sequence needs at least one level"
+        # a document's depth is at least 1, so an empty entry is a schema error
+        with pytest.raises(SchemaError) as err:
+            parse_instance('{"format_version":"1","domain":[0],"depth":1,"elements":[[]]}')
+        assert str(err.value) == "elements[0]: expected an array of 1 triples"
 
 
 class TestDomainGrid:
@@ -265,16 +296,11 @@ class TestPictureFuzzyMultiset:
         assert convex_ms.depth == 1
 
     def test_alignment_errors(self):
-        seqs = (
-            GradeSequence((GradeTriple(0.2, 0.1, 0.5),)),
-            GradeSequence((GradeTriple(0.6, 0.2, 0.1),)),
-        )
+        seqs = [[[0.2, 0.1, 0.5]], [[0.6, 0.2, 0.1]]]
         grid = DomainGrid((0.0, 1.0, 2.0))
         with pytest.raises(LengthMismatch):
             PictureFuzzyMultiset(grid, seqs)
-        ragged = seqs + (
-            GradeSequence((GradeTriple(0.3, 0.1, 0.4), GradeTriple(0.1, 0.1, 0.4))),
-        )
+        ragged = seqs + [[[0.3, 0.1, 0.4], [0.1, 0.1, 0.4]]]
         with pytest.raises(RaggedDepth):
             PictureFuzzyMultiset(grid, ragged)
 
@@ -327,6 +353,81 @@ class TestPictureFuzzyMultiset:
             convex_ms.evaluate(-0.5, 1)
         with pytest.raises(BadLevel):
             convex_ms.evaluate(0.5, 2)
+
+
+# Input that real_array refuses takes the scalar path point by point.  The
+# outcomes below were recorded from the per-point GradeSequence construction
+# the library used before, as float64 bytes in hex or as an error.
+_ROWS = [[[0.5, 0.25, 0.125]], [[0.1, 0.2, 0.3]]]
+_ROWS_HEX = (
+    "000000000000e03f000000000000d03f000000000000c03f"
+    "9a9999999999b93f9a9999999999c93f333333333333d33f"
+)
+_FALLBACK_PINS = {
+    "int64": (
+        np.array([[[1, 0, 0]], [[0, 0, 1]]], dtype=np.int64),
+        "000000000000f03f" + "0" * 64 + "000000000000f03f",
+    ),
+    "float32": (
+        np.array(_ROWS, dtype=np.float32),
+        "000000000000e03f000000000000d03f000000000000c03f"
+        "000000a09999b93f000000a09999c93f000000403333d33f",
+    ),
+    "object": (np.array(_ROWS, dtype=object), _ROWS_HEX),
+    "tuples": (tuple(tuple(map(tuple, point)) for point in _ROWS), _ROWS_HEX),
+    "generator": (lambda: (point for point in _ROWS), _ROWS_HEX),
+    "bool": (
+        np.array([[[False, False, False]], [[True, False, False]]]),
+        (OutOfUnitInterval, "positive must be a real number, got False"),
+    ),
+    "no levels": (
+        np.zeros((2, 0, 3)),
+        (LengthMismatch, "a grade sequence needs at least one level"),
+    ),
+    "ragged": (
+        [[[0.5, 0.25, 0.125]], [[0.4, 0.1, 0.1], [0.3, 0.1, 0.1]]],
+        (RaggedDepth, "level counts differ across points: [1, 2]"),
+    ),
+    "ragged and rising": (
+        [[[0.5, 0.25, 0.125]], [[0.1, 0.1, 0.1], [0.3, 0.1, 0.1]]],
+        (PositiveOrderViolation, "positive channel must be nonincreasing across "
+                                 "levels: level 1 has 0.1, level 2 has 0.3"),
+    ),
+    "float32 rising": (
+        np.array([[[0.5, 0.0, 0.0], [0.25, 0.0, 0.0]],
+                  [[0.05, 0.0, 0.0], [0.1, 0.0, 0.0]]], dtype=np.float32),
+        (PositiveOrderViolation, "positive channel must be nonincreasing across "
+                                 "levels: level 1 has 0.05000000074505806, "
+                                 "level 2 has 0.10000000149011612"),
+    ),
+    "2-D": (np.array([[0.5, 0.25, 0.125], [0.1, 0.2, 0.3]]), TypeError),
+    "4 channels": (np.zeros((2, 1, 4)), TypeError),
+    "2-element triples": ([[[0.5, 0.25]], [[0.1, 0.2]]], TypeError),
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_PINS))
+def test_input_real_array_refuses_builds_or_raises_as_pinned(name):
+    values, expected = _FALLBACK_PINS[name]
+
+    def build():
+        return PictureFuzzyMultiset(
+            DomainGrid((0.0, 1.0)), values() if callable(values) else values
+        )
+
+    if isinstance(expected, str):
+        ms = build()
+        assert ms.values.dtype == np.float64 and ms.values.shape == (2, 1, 3)
+        assert ms.values.tobytes().hex() == expected
+        assert not ms.values.flags.writeable
+    elif isinstance(expected, tuple):
+        with pytest.raises(PfmsError) as err:
+            build()
+        assert (type(err.value), str(err.value)) == expected
+    else:  # malformed shapes fail inside the scalar check, not as PfmsError
+        with pytest.raises(expected) as err:
+            build()
+        assert not isinstance(err.value, PfmsError)
 
 
 class TestIntsBeyondTheFloatRange:
@@ -521,6 +622,49 @@ def test_all_lists_exactly_the_imported_public_names():
     assert sorted(pfms.__all__) == sorted(imported + ["__version__"])
 
 
+def _annotation_names(tree):
+    """Names read in string annotations, which ast keeps as constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [node.returns]
+        else:
+            continue
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                for name in ast.walk(ast.parse(note.value, mode="eval")):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_module_reads_each_name_it_imports():
+    # the package's __init__ imports names only to export them
+    modules = sorted(Path(pfms.__file__).parent.glob("*.py"))
+    unread = []
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        read.update(_annotation_names(tree))
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert len(modules) > 1 and unread == []
+
+
 def _evaluate_outcome(ms, x, level):
     try:
         return True, repr(ms.evaluate(x, level).as_tuple())
@@ -653,7 +797,7 @@ def _grade_arrays(draw, depth=None, points=None):
 def _first_raising_point(arr):
     for i, per_point in enumerate(arr.tolist()):
         try:
-            core._point_grades(per_point)
+            _frozen.point_grades(per_point)
         except PfmsError:
             return i
     return len(arr)
@@ -731,7 +875,7 @@ class TestScalarAndVectorisedValidation:
                 continue
             assert (kind, got) == (kind_above, got_above)
             with pytest.raises(PfmsError) as err:
-                core._point_grades(below[bad].tolist())
+                _frozen.point_grades(below[bad].tolist())
             assert kind is type(err.value)
             if build is _construct:
                 assert got == str(err.value)

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _frozen
 from pfms import (
     TOL_CMP,
     TOL_SUM,
     GeneratorConfig,
-    GradeSequence,
     GradeTriple,
     InstanceSyntaxError,
     PfmsError,
@@ -346,8 +346,9 @@ class TestCollectorPause:
 
 # ---------------------------------------------------------------------------
 # Differential validation: the vectorised check accepts a table exactly when
-# per-element GradeTriple/GradeSequence construction does, and otherwise
-# raises what that construction raises at the first bad element.
+# per-element GradeTriple/GradeSequence construction (the frozen copy in
+# _frozen.py) does, and otherwise raises what that construction raises at
+# the first bad element.
 
 _SUM_BOUND = 1.0 + TOL_SUM
 # 0.5 + 0.25 + (x - 0.75) sums to x exactly for x near one, so these triples
@@ -408,7 +409,7 @@ def _first_point_error(table):
     """Class and message of per-point construction's first error."""
     for per_point in table:
         try:
-            GradeSequence(tuple(GradeTriple(*level) for level in per_point))
+            _frozen.GradeSequence(tuple(GradeTriple(*level) for level in per_point))
         except Exception as exc:  # TypeError and OverflowError included
             return type(exc), str(exc)
     return None
@@ -434,7 +435,7 @@ def _first_entry_error(table):
             except PfmsError as exc:
                 return type(exc), f"{path}: {exc}"
         try:
-            GradeSequence(tuple(levels))
+            _frozen.GradeSequence(tuple(levels))
         except PfmsError as exc:
             return type(exc), f"elements[{i}]: {exc}"
     return None

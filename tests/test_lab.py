@@ -117,9 +117,9 @@ class TestGenPfms:
             GeneratorConfig(seed=9, grid_size=6, depth=2, value_lattice=0.05)
         )
         assert ms.grid.points == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-        for seq in ms.grades:
+        for seq in ms.values.tolist():
             for t in seq:
-                for v in t.as_tuple():
+                for v in t:
                     assert abs(v - round(v / 0.05) * 0.05) < 1e-9
 
 
@@ -189,7 +189,7 @@ class TestOracleHull:
     def test_identity_on_well_shaped_channels(self, convex_ms):
         field = oracle_hull(convex_ms, 0.05)
         for i in range(convex_ms.size):
-            assert tuple(field.values[i][0]) == convex_ms.grades[i][0].as_tuple()
+            assert tuple(field.values[i][0]) == tuple(convex_ms.values[i, 0].tolist())
 
     def test_agrees_with_envelope_construction(self):
         for seed in range(30):

@@ -52,21 +52,19 @@ def aligned_pairs(draw):
     sb = draw(st.integers(min_value=0, max_value=2**31))
     a = gen_pfms(GeneratorConfig(seed=sa, grid_size=grid, depth=depth))
     b = gen_pfms(GeneratorConfig(seed=sb, grid_size=grid, depth=depth))
-    b_on_a = multiset_from_values(
-        a.grid.points, [[t.as_tuple() for t in seq] for seq in b.grades]
-    )
+    b_on_a = multiset_from_values(a.grid.points, b.values.tolist())
     return a, b_on_a
 
 
 def valid_instance(ms):
-    for seq in ms.grades:
+    for seq in ms.values.tolist():
         previous = None
         for t in seq:
-            assert 0.0 <= min(t.as_tuple()) and max(t.as_tuple()) <= 1.0
-            assert math.fsum(t.as_tuple()) <= 1.0 + TOL_SUM
+            assert 0.0 <= min(t) and max(t) <= 1.0
+            assert math.fsum(t) <= 1.0 + TOL_SUM
             if previous is not None:
-                assert t.positive <= previous + 1e-9
-            previous = t.positive
+                assert t[0] <= previous + 1e-9
+            previous = t[0]
 
 
 class TestTripleClosure:
@@ -103,8 +101,8 @@ class TestAlgebraClosure:
         u = union(a, b)
         for i in range(a.size):
             for k in range(a.depth):
-                assert u.grades[i][k].positive >= a.grades[i][k].positive
-                assert u.grades[i][k].negative <= a.grades[i][k].negative
+                assert u.values[i, k, 0] >= a.values[i, k, 0]
+                assert u.values[i, k, 2] <= a.values[i, k, 2]
 
     @given(small_instances())
     def test_includes_is_reflexive(self, ms):
