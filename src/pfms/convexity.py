@@ -9,25 +9,26 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-The exact check and the hull envelopes take running maxima along
-(level, channel) rows, signed by CHANNEL_SIGNS so that every channel is
-quasi-concave when convex.  On instances of at least _ROW_TEST_TRIPLES
-triples most rows need no scan: a row in which no strict rise follows a
-strict fall is unimodal, so it has no dip and is its own least unimodal
-majorant, bit for bit (see _dipping_rows).  One pass of comparisons in
-the stored (points, levels, 3) layout finds the rows that fail this
-test, and one window of nodes, from the earliest first strict fall to
-the latest last strict rise among them plus one node, outside which
-each of them is nondecreasing before and nonincreasing after.  Only
-the window of those rows is gathered into a contiguous signed copy and
-scanned: a running maximum seeded at a window edge holds the bits of a
-whole-row scan there, and no node outside the window dips.  The exact
-check reads its verdicts off the window and shifts its witness by the
-window's start; an instance with no such row is convex and its own
-hull.  The hull copies the grade array once, writes the envelopes over
-the window, and checks the sum bound only on the window's triples of
-the levels it changed: every other triple is the input's, which
-construction checked with the same float expression.
+The exact check and the hull read one least unimodal majorant per
+(level, channel) row, the smaller of the two running maxima of the row
+signed by CHANNEL_SIGNS, so that every channel is quasi-concave when
+convex: a node dips where the majorant exceeds it by more than TOL_CMP,
+and the hull is the majorants signed back.  On instances of at least
+_ROW_TEST_TRIPLES triples most rows need no scan: a row in which no
+strict rise follows a strict fall is unimodal, so it has no dip and is
+its own least unimodal majorant, bit for bit (see _dipping_rows).  One
+pass of comparisons in the stored (points, levels, 3) layout finds the
+rows that fail this test, and one window of nodes, from the earliest
+first strict fall to the latest last strict rise among them plus one
+node, outside which each of them is nondecreasing before and
+nonincreasing after.  Only the window of those rows is gathered into a
+contiguous signed copy and scanned: a running maximum seeded at a
+window edge holds the bits of a whole-row scan there, and no node
+outside the window dips.  The exact check reads its verdicts off the
+window and shifts its witness by the window's start; an instance with
+no such row is convex and its own hull.  The hull copies the grade
+array once and writes the envelopes over the window; a hull works out
+its sum flags from its envelopes when they are read.
 Smaller instances, where the test's fixed cost would outweigh the scans,
 scan every row of a channel-major copy, shape (levels, 3, points), made
 in one numpy call.  Either way each row sees the operations of a scan
@@ -154,33 +155,35 @@ class GradeField:
 
     Convex hulls raise the positive and neutral channels and lower the
     negative one independently, which can push a node's sum past one.
-    ``values`` is a (points, levels, 3) array like a multiset's; the
-    (points, levels) bool array ``mask`` (as tuples: ``valid``) records
-    whether each triple still satisfies the sum bound.  Channel ranges are
-    always respected."""
+    ``values`` is a read-only (points, levels, 3) array like a
+    multiset's; ``mask``, a (points, levels) bool array (as tuples:
+    ``valid``), flags the triples that keep the sum bound, worked out from
+    ``values`` when read.  Channel ranges are always respected."""
 
     grid: DomainGrid
     values: np.ndarray
-    mask: np.ndarray
 
     @classmethod
     def from_envelopes(cls, grid: DomainGrid, values: np.ndarray) -> "GradeField":
-        """Field of an envelope array, each triple flagged against the sum bound."""
+        """Field of a read-only copy of an envelope array."""
         values = np.array(values, dtype=np.float64, order="C")
-        mask = _within_sum(values)
         values.setflags(write=False)
-        mask.setflags(write=False)
-        return cls(grid, values, mask)
+        return cls(grid, values)
 
     def __reduce__(self):
-        # pickle and deepcopy rebuild from the envelopes: both arrays stay read-only
+        # pickle and deepcopy rebuild from the envelopes: values stays read-only
         return GradeField.from_envelopes, (self.grid, self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradeField):
             return NotImplemented
-        same = self.grid == other.grid and np.array_equal(self.values, other.values)
-        return same and np.array_equal(self.mask, other.mask)
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    @property
+    def mask(self) -> np.ndarray:
+        mask = _within_sum(self.values)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def valid(self) -> tuple[tuple[bool, ...], ...]:
@@ -235,31 +238,24 @@ def is_antiunimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
     return _worst_dip(-np.asarray(values, dtype=np.float64), tol) is None
 
 
-def _dips(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per interior index i along the last axis, the deficit ref - values[i]
-    and the reference ref = min(max values[:i], max values[i + 1:])."""
-    left = np.maximum.accumulate(values[..., :-2], axis=-1)
-    right = np.maximum.accumulate(values[..., :1:-1], axis=-1)[..., ::-1]
-    ref = np.minimum(left, right)
-    return ref - values[..., 1:-1], ref
-
-
 def _worst_dip(
-    values: np.ndarray, tol: float, dips: tuple[np.ndarray, np.ndarray] | None = None
+    values: np.ndarray, tol: float, env: np.ndarray | None = None
 ) -> tuple[int, int, int] | None:
-    """Deepest interior dip of a 1-D array deeper than ``tol``, as
-    (left, mid, right): ``mid`` is the first of the deepest dipping nodes,
-    ``left``/``right`` its nearest flanks reaching the reference; or None.
-    ``dips`` is _dips(values), when the caller has it."""
+    """Deepest dip of a 1-D array deeper than ``tol`` below its least
+    unimodal majorant, as (left, mid, right): ``mid`` is the first of the
+    deepest dipping nodes, ``left``/``right`` its nearest flanks reaching
+    the majorant there; or None.  ``env`` is _majorant(values), when the
+    caller has it."""
     if len(values) < 3:
         return None
-    deficit, ref = _dips(values) if dips is None else dips
-    j = int(deficit.argmax())
-    if not deficit[j] > tol:
+    if env is None:
+        env = _majorant(values)
+    deficit = env - values
+    mid = int(deficit.argmax())
+    if not deficit[mid] > tol:
         return None
-    mid = j + 1
-    left = int(np.flatnonzero(values[:mid] >= ref[j])[-1])
-    right = mid + 1 + int(np.flatnonzero(values[mid + 1 :] >= ref[j])[0])
+    left = int(np.flatnonzero(values[:mid] >= env[mid])[-1])
+    right = mid + 1 + int(np.flatnonzero(values[mid + 1 :] >= env[mid])[0])
     return left, mid, right
 
 
@@ -309,8 +305,8 @@ def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
     is nondecreasing and after it nonincreasing, so by the argument above
     a running maximum seeded at a window edge holds the bits a scan of
     the whole row has there, and no node outside the window dips: scans
-    of the window alone give the whole rows' deficits, references and
-    envelopes inside it, and outside it each row is its own envelope."""
+    of the window alone give the whole rows' envelopes inside it, and
+    outside it each row is its own envelope."""
     if len(values) < 3:  # a dip needs a node between two others
         return np.empty(0, dtype=np.intp), slice(0, 0)
     lo, hi = values[:-1], values[1:]
@@ -365,25 +361,26 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     witness: Witness | None = None
     if ms.size * ms.depth < _ROW_TEST_TRIPLES:
         signed = _channel_major(ms.values)
-        bad = _dips(signed)[0] > TOL_CMP
+        env = _majorant(signed)
+        bad = env - signed > TOL_CMP
         level_bad = bad.any(axis=(1, 2)).tolist()
         if True in level_bad:
             k = level_bad.index(True)
             c = int(bad[k].any(axis=-1).argmax())
-            witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP))
+            witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP, env[k, c]))
     else:  # rows without a rise after a fall have no dip
         rows, win = _dipping_rows(ms.values)
         if not rows.size:
             return ConvexityReport(convex=True, levels=(True,) * ms.depth)
         signed = _signed_rows(ms.values[win], rows)
-        deficit, ref = _dips(signed)
-        bad = np.flatnonzero((deficit > TOL_CMP).any(axis=-1))
+        env = _majorant(signed)
+        bad = np.flatnonzero((env - signed > TOL_CMP).any(axis=-1))
         failed = set((rows[bad] // 3).tolist())
         level_bad = [k in failed for k in range(ms.depth)]
         if bad.size:  # rows are in level, then channel order
             i = bad[0]
             k, c = divmod(int(rows[i]), 3)
-            dip = _worst_dip(signed[i], TOL_CMP, (deficit[i], ref[i]))
+            dip = _worst_dip(signed[i], TOL_CMP, env[i])
             witness = _node_witness(ms, k, c, *(j + win.start for j in dip))
     levels = tuple([not b for b in level_bad])
     return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
@@ -612,10 +609,7 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
 
     From _ROW_TEST_TRIPLES triples the grade array is copied once and
     only the rows of _dipping_rows are rewritten, over its window only,
-    as every row is its own envelope elsewhere.  The mask is then true
-    except on the window's triples of the rewritten levels, which get
-    the sum test; every other triple is the input's and passed the same
-    test at construction."""
+    as every row is its own envelope elsewhere."""
     if ms.size * ms.depth < _ROW_TEST_TRIPLES:
         hull = _majorant(_channel_major(ms.values))
         hull *= _ROW_SIGNS
@@ -623,18 +617,14 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     # every row without a rise after a fall is its own majorant, and so is
     # every other row outside the window
     scan, win = _dipping_rows(ms.values)
-    hull, mask = ms.values, np.ones(ms.values.shape[:2], dtype=bool)
-    if scan.size:  # else its own hull, within the sum bound its construction checked
-        hull = np.array(ms.values)
-        part = hull[win]
-        envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
-        part.reshape(len(part), -1)[:, scan] = envelopes.T
-        # only triples of the changed levels inside the window can break the sum bound
-        for k in set((scan // 3).tolist()):
-            mask[win, k] = _within_sum(part[:, k])
-        hull.setflags(write=False)
-    mask.setflags(write=False)
-    return GradeField(ms.grid, hull, mask)
+    if not scan.size:
+        return GradeField(ms.grid, ms.values)
+    hull = np.array(ms.values)
+    part = hull[win]
+    envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
+    part.reshape(len(part), -1)[:, scan] = envelopes.T
+    hull.setflags(write=False)
+    return GradeField(ms.grid, hull)
 
 
 def hull_membership_test(

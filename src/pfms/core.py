@@ -19,10 +19,11 @@ one Python pass over its nested lists, a larger one in whole-array numpy
 passes, whose fixed cost would outweigh the work in the small instances
 the lab builds by the thousand (see first_invalid_point).  Pickle and
 deepcopy rebuild an instance or grid through its constructor, so its
-arrays stay read-only.  A grid checks its coordinates in a scalar loop
-and keeps them as a tuple and as one read-only float64 array, plus its
-ends and the ends widened by the boundary slack, so array code and point
-queries read them instead of rebuilding them.
+arrays stay read-only.  A grid scans its coordinates' types, converts
+them in one map(float) pass, checks them in a scalar loop and keeps them
+as a tuple and as one read-only float64 array, plus its ends and the
+ends widened by the boundary slack, so array code and point queries
+read them instead of rebuilding them.
 Point queries return GradeTriple.  In DomainGrid.locate a Python float
 inside the widened ends, and in GradeTriple three in-range Python floats
 with a sum in bound, pass with one chained comparison; any other input
@@ -88,7 +89,7 @@ class RaggedDepth(PfmsError):
 
 
 class InvalidGrid(PfmsError):
-    """Grid coordinates are empty, non-finite, or not strictly increasing."""
+    """Grid coordinates are empty, not numbers, non-finite or not strictly increasing."""
 
 
 class OutOfDomain(PfmsError):
@@ -100,7 +101,7 @@ class BadLevel(PfmsError):
 
 
 class MalformedRegion(PfmsError):
-    """An interval was given with its endpoints reversed or not finite."""
+    """An interval's endpoints are reversed, not numbers or not finite."""
 
 
 class TooLarge(PfmsError):
@@ -136,13 +137,18 @@ def _shown(value, form=repr) -> str:
         return f"{'-' if value < 0 else ''}<int of {digits} digits>"
 
 
+def _is_real(value) -> bool:
+    """check_unit's rule for a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
     The value is returned unchanged; out-of-range input raises
     OutOfUnitInterval.  Nothing is clamped.
     """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_real(value):
         raise OutOfUnitInterval(f"{label} must be a real number, got {value!r}")
     v = _float_or_inf(value)
     if not math.isfinite(v) or v < _UNIT_LO or v > _UNIT_HI:
@@ -233,9 +239,14 @@ class DomainGrid:
     hi_reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        raw = tuple(self.points)
-        try:
-            pts = tuple(map(float, raw))
+        raw = self.points
+        raw = tuple(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+        kinds = set(map(type, raw))
+        if not kinds <= {float, int}:  # a subclass passes, the rest raise
+            for x in filterfalse(_is_real, raw):
+                raise InvalidGrid(f"grid coordinate {x!r} is not a real number")
+        try:  # a tuple of floats is kept as it is
+            pts = raw if kinds == {float} else tuple(map(float, raw))
         except OverflowError:
             pts = tuple(map(_float_or_inf, raw))
         object.__setattr__(self, "points", pts)
@@ -284,7 +295,7 @@ class DomainGrid:
         the nearest endpoint; anything further out raises OutOfDomain."""
         # a float within reach is finite; anything else takes the checks
         if not (type(x) is float and self.lo_reach <= x <= self.hi_reach):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not _is_real(x):
                 raise OutOfDomain(f"coordinate must be a real number, got {x!r}")
             x = _float_or_inf(x)
             if not math.isfinite(x):
@@ -331,10 +342,19 @@ def _check_levels(triples: Sequence[GradeTriple]) -> None:
 
 def _point_triples(per_point) -> list[GradeTriple]:
     """The checked triples of one point's levels, or the scalar error of
-    the first check they fail."""
+    the first check they fail, level by level; a level that is not three
+    values, or a point or level that is a number, raises LengthMismatch."""
     if isinstance(per_point, np.ndarray):
         per_point = per_point.tolist()
-    triples = [GradeTriple(*level) for level in per_point]
+    triples = []
+    for k, level in enumerate(per_point if np.iterable(per_point) else [per_point], 1):
+        level = tuple(level) if np.iterable(level) else (level,)
+        if len(level) != 3:
+            raise LengthMismatch(
+                f"level {k} must be three values (positive, neutral, negative), "
+                f"got {len(level)}"
+            )
+        triples.append(GradeTriple(*level))
     _check_levels(triples)
     return triples
 
@@ -566,7 +586,7 @@ def multiset_from_values(
     (positive, neutral, negative) triple, as nested sequences or as an
     (m, depth, 3) float64 array."""
     try:
-        grid = DomainGrid(tuple(points))
+        grid = DomainGrid(points)
     except PfmsError:
         for per_point in values:  # a bad grade is reported before a bad grid
             _point_triples(per_point)
@@ -611,9 +631,11 @@ class CutRegion:
     def __post_init__(self) -> None:
         raw = []
         lo, hi = -math.inf, math.inf
-        for pair in self.intervals:
-            a, b = pair
-            a, b = _float_or_inf(a), _float_or_inf(b)
+        for a, b in self.intervals:
+            if not (type(a) is float and type(b) is float):
+                for x in filterfalse(_is_real, (a, b)):
+                    raise MalformedRegion(f"interval endpoint {x!r} is not a real number")
+                a, b = _float_or_inf(a), _float_or_inf(b)
             if not lo < a <= b < hi:
                 raise MalformedRegion(
                     f"interval [{a!r}, {b!r}] is reversed or not finite"

@@ -26,6 +26,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _is_real,
     _shown,
     multiset_from_values,
 )
@@ -88,9 +90,7 @@ class GeneratorConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise BadConfig(f"{name} must be an integer, got {value!r}")
         step = self.value_lattice
-        if step is not None and (
-            not isinstance(step, (int, float)) or isinstance(step, bool)
-        ):
+        if step is not None and not _is_real(step):
             raise BadConfig(f"value_lattice must be an int or a float, got {step!r}")
         if not 1 <= self.grid_size <= _MAX_GRID_SIZE:
             raise BadConfig(
@@ -528,26 +528,13 @@ def shrink_instance(
 
     if not holds(ms):
         raise BadConfig("the predicate must hold on the starting instance")
-    changed = True
-    while changed:
-        changed = False
-        if ms.depth > 1:
-            for k in range(ms.depth):
-                candidate = _drop_level(ms, k)
-                if holds(candidate):
-                    ms = candidate
-                    changed = True
-                    break
-            if changed:
-                continue
-        if ms.size > 1:
-            for i in range(ms.size):
-                candidate = _drop_node(ms, i)
-                if holds(candidate):
-                    ms = candidate
-                    changed = True
-                    break
-    return ms
+    while True:  # the first smaller candidate that holds, levels first
+        levels = (_drop_level(ms, k) for k in (range(ms.depth) if ms.depth > 1 else ()))
+        nodes = (_drop_node(ms, i) for i in (range(ms.size) if ms.size > 1 else ()))
+        smaller = next(filter(holds, chain(levels, nodes)), None)
+        if smaller is None:
+            return ms
+        ms = smaller
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,26 @@ class TestDomainGrid:
         top = DomainGrid((-1.7976931348623157e308, -1e308))
         assert top.locate(-1.7976931348623157e308) == (0, None)
 
+    @pytest.mark.parametrize("odd", ["0", " 1e0 ", b"2", True, False, None, 1j])
+    def test_coordinates_must_be_real_numbers(self, odd):
+        # check_unit's rule: an int or a float, not a bool, string or bytes
+        with pytest.raises(InvalidGrid) as refused:
+            DomainGrid((-1.0, odd, 3.0))
+        assert str(refused.value) == f"grid coordinate {odd!r} is not a real number"
+        with pytest.raises(InvalidGrid):
+            multiset_from_values([odd, 5.0], [[[0.5, 0.25, 0.125]]] * 2)
+        with pytest.raises(InvalidGrid):
+            DomainGrid(np.array([-1.0, odd, 3.0], dtype=object))
+
+    def test_numeric_arrays_and_number_subclasses_build(self):
+        expected = (0.0, 1.0, 2.0)
+        for points in (np.arange(3), np.arange(3, dtype=np.float32), np.array([0.0, 1.0, 2.0]),
+                       (np.float64(0.0), 1, 2.0), range(3)):
+            assert DomainGrid(points).points == expected
+            assert multiset_from_values(points, [[[0.5, 0.25, 0.125]]] * 3).grid.points == expected
+        with pytest.raises(InvalidGrid, match="False is not"):
+            DomainGrid(np.array([False, True]))
+
     def test_reach_stays_finite_at_the_largest_float(self):
         # lo minus the slack overflows here; -inf must still be refused
         g = DomainGrid((-1.7976931348623157e308, -1e308))
@@ -357,7 +377,10 @@ class TestPictureFuzzyMultiset:
 
 # Input that real_array refuses takes the scalar path point by point.  The
 # outcomes below were recorded from the per-point GradeSequence construction
-# the library used before, as float64 bytes in hex or as an error.
+# the library used before, as float64 bytes in hex or as an error, except for
+# the malformed shapes (2-D, 1-D, 4 channels, 2-element triples): that
+# construction let them escape as a bare TypeError, and they now raise
+# LengthMismatch.
 _ROWS = [[[0.5, 0.25, 0.125]], [[0.1, 0.2, 0.3]]]
 _ROWS_HEX = (
     "000000000000e03f000000000000d03f000000000000c03f"
@@ -400,9 +423,22 @@ _FALLBACK_PINS = {
                                  "levels: level 1 has 0.05000000074505806, "
                                  "level 2 has 0.10000000149011612"),
     ),
-    "2-D": (np.array([[0.5, 0.25, 0.125], [0.1, 0.2, 0.3]]), TypeError),
-    "4 channels": (np.zeros((2, 1, 4)), TypeError),
-    "2-element triples": ([[[0.5, 0.25]], [[0.1, 0.2]]], TypeError),
+    "2-D": (
+        np.array([[0.5, 0.25, 0.125], [0.1, 0.2, 0.3]]),
+        (LengthMismatch, "level 1 must be three values (positive, neutral, negative), got 1"),
+    ),
+    "4 channels": (
+        np.zeros((2, 1, 4)),
+        (LengthMismatch, "level 1 must be three values (positive, neutral, negative), got 4"),
+    ),
+    "2-element triples": (
+        [[[0.5, 0.25]], [[0.1, 0.2]]],
+        (LengthMismatch, "level 1 must be three values (positive, neutral, negative), got 2"),
+    ),
+    "1-D": (
+        np.array([0.5, 0.25]),
+        (LengthMismatch, "level 1 must be three values (positive, neutral, negative), got 1"),
+    ),
 }
 
 
@@ -420,14 +456,10 @@ def test_input_real_array_refuses_builds_or_raises_as_pinned(name):
         assert ms.values.dtype == np.float64 and ms.values.shape == (2, 1, 3)
         assert ms.values.tobytes().hex() == expected
         assert not ms.values.flags.writeable
-    elif isinstance(expected, tuple):
+    else:
         with pytest.raises(PfmsError) as err:
             build()
         assert (type(err.value), str(err.value)) == expected
-    else:  # malformed shapes fail inside the scalar check, not as PfmsError
-        with pytest.raises(expected) as err:
-            build()
-        assert not isinstance(err.value, PfmsError)
 
 
 class TestIntsBeyondTheFloatRange:
@@ -530,6 +562,20 @@ class TestCutRegion:
         for bad in bad_intervals:
             with pytest.raises(MalformedRegion):
                 CutRegion((bad,))
+
+    @pytest.mark.parametrize("pair", [
+        (" 1 ", 2.0), (1.0, b"2"), (True, 1.5), (0, True), (None, 1.0), ("0", "1"),
+    ])
+    def test_endpoints_must_be_real_numbers(self, pair):
+        odd = next(x for x in pair if isinstance(x, (str, bytes, bool)) or x is None)
+        with pytest.raises(MalformedRegion) as refused:
+            CutRegion(((0.0, 0.5), pair))
+        assert str(refused.value) == f"interval endpoint {odd!r} is not a real number"
+
+    def test_int_and_float_subclass_endpoints_convert(self):
+        region = CutRegion(((np.float64(1.5), 2), (0, 1.0)))
+        assert region.intervals == ((0.0, 1.0), (1.5, 2.0))
+        assert all(type(x) is float for pair in region.intervals for x in pair)
 
     def test_empty_region(self):
         region = CutRegion(())
@@ -663,6 +709,34 @@ def test_every_module_reads_each_name_it_imports():
         unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert len(modules) > 1 and unread == []
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a module-level private function, class or constant that no module of
+    # the package reads is dead code (tests do not count as readers)
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(pfms.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        read.update(_annotation_names(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}:{node.lineno} {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert len(trees) > 1 and dead == []
 
 
 def _evaluate_outcome(ms, x, level):

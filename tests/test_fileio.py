@@ -17,6 +17,7 @@ from pfms import (
     GeneratorConfig,
     GradeTriple,
     InstanceSyntaxError,
+    LengthMismatch,
     PfmsError,
     PositiveOrderViolation,
     InvalidGrid,
@@ -406,11 +407,19 @@ def _grade_tables(draw):
 
 
 def _first_point_error(table):
-    """Class and message of per-point construction's first error."""
+    """Class and message of per-point construction's first error.  That
+    construction let a level of other than three values escape as a
+    TypeError from GradeTriple; the library raises LengthMismatch there."""
     for per_point in table:
         try:
             _frozen.GradeSequence(tuple(GradeTriple(*level) for level in per_point))
-        except Exception as exc:  # TypeError and OverflowError included
+        except TypeError:
+            k, level = next((k, lv) for k, lv in enumerate(per_point, 1) if len(lv) != 3)
+            return LengthMismatch, (
+                f"level {k} must be three values (positive, neutral, negative), "
+                f"got {len(level)}"
+            )
+        except Exception as exc:  # OverflowError included
             return type(exc), str(exc)
     return None
 

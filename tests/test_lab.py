@@ -245,6 +245,58 @@ class TestShrink:
         for i in range(small.size):
             assert is_convex_exact(_drop_node(small, i)).convex
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predicate_sees_the_candidates_in_order(self, seed):
+        # the reference is the earlier shrink, a drop-a-level loop, then a
+        # drop-a-node loop, restarting after every accepted candidate
+        from pfms.lab import _drop_level, _drop_node
+
+        def reference(ms, predicate):
+            def holds(candidate):
+                try:
+                    return bool(predicate(candidate))
+                except pfms.PfmsError:
+                    return False
+
+            assert holds(ms)
+            changed = True
+            while changed:
+                changed = False
+                if ms.depth > 1:
+                    for k in range(ms.depth):
+                        candidate = _drop_level(ms, k)
+                        if holds(candidate):
+                            ms, changed = candidate, True
+                            break
+                    if changed:
+                        continue
+                if ms.size > 1:
+                    for i in range(ms.size):
+                        candidate = _drop_node(ms, i)
+                        if holds(candidate):
+                            ms, changed = candidate, True
+                            break
+            return ms
+
+        base = gen_pfms(GeneratorConfig(seed=30 + seed, grid_size=7, depth=3, convex_only=True))
+        planted = plant_dip(base, seed=seed)
+
+        def run(shrink):
+            seen = []
+
+            def predicate(ms):
+                seen.append((ms.size, ms.depth, ms.values.tobytes()))
+                if ms.size == 4:
+                    raise pfms.PfmsError("counts as failure")
+                return not is_convex_exact(ms).convex
+
+            out = shrink(planted, predicate)
+            return seen, (out.size, out.depth, out.values.tobytes())
+
+        seen, out = run(shrink_instance)
+        assert len(seen) > 3
+        assert (seen, out) == run(reference)
+
     def test_predicate_must_hold_initially(self, convex_ms):
         with pytest.raises(BadConfig):
             shrink_instance(convex_ms, lambda ms: not is_convex_exact(ms).convex)

@@ -282,8 +282,21 @@ def _outcomes():
     return {name: _record(call) for name, call in table}
 
 
+# Grids refuse bools and strings by check_unit's rule since the file was
+# recorded (the scalar implementation built the first two and let the last
+# escape as a ValueError); these cases now raise InvalidGrid.
+_REFUSED_SINCE_RECORDED = {
+    "DomainGrid/bools": ("returns", "grid coordinate False is not a real number"),
+    "DomainGrid/str": ("returns", "grid coordinate '0.5' is not a real number"),
+    "DomainGrid/bad-str": ("raises", "grid coordinate 'x' is not a real number"),
+}
+
+
 def test_point_queries_pinned():
     expected = json.loads(PINNED.read_text())
+    for name, (recorded, message) in _REFUSED_SINCE_RECORDED.items():
+        assert expected[name][0] == recorded
+        expected[name] = ["raises", "InvalidGrid", message]
     got = _outcomes()
     assert sorted(got) == sorted(expected)
     wrong = [name for name in expected if got[name] != expected[name]]
