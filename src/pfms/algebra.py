@@ -21,8 +21,6 @@ from .core import (
     CHANNEL_SIGNS,
     TOL_CMP,
     TOL_SUM,
-    GradeTriple,
-    LengthMismatch,
     PfmsError,
     PictureFuzzyMultiset,
     SumExceedsOne,
@@ -76,54 +74,6 @@ class WeightVector:
 
     def __getitem__(self, i: int) -> float:
         return self.weights[i]
-
-
-@dataclass(frozen=True, slots=True)
-class ChannelWeights:
-    """Channel-split weights: one triple per point, jointly summing to one.
-
-    Each triple component lies in [0, 1] and each triple sums to at most
-    one; the grand total over all points and channels is one.  This is a
-    deliberately different type from WeightVector: the two weight schemes
-    are not interchangeable.
-    """
-
-    triples: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for trip in self.triples:
-            p, n, g = trip
-            p = check_unit(p, "positive weight")
-            n = check_unit(n, "neutral weight")
-            g = check_unit(g, "negative weight")
-            if p + n + g > 1.0 + TOL_SUM:
-                raise WeightSumInvalid(
-                    f"per-point weight triple sums to {p + n + g!r}, above 1"
-                )
-            cleaned.append((p, n, g))
-        object.__setattr__(self, "triples", tuple(cleaned))
-        if not cleaned:
-            raise WeightSumInvalid("at least one weight triple is required")
-        total = math.fsum(w for trip in cleaned for w in trip)
-        if abs(total - 1.0) > TOL_SUM:
-            raise WeightSumInvalid(
-                f"weight triples jointly sum to {total!r}, expected 1"
-            )
-
-    @classmethod
-    def of(
-        cls, weights: "ChannelWeights | Sequence[Sequence[float]]"
-    ) -> "ChannelWeights":
-        if isinstance(weights, ChannelWeights):
-            return weights
-        return cls(tuple(tuple(trip) for trip in weights))
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self):
-        return iter(self.triples)
 
 
 def _check_aligned(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> None:
@@ -221,48 +171,3 @@ def convex_combination(
     lam = check_unit(lam, "lambda")
     mu = 1.0 - lam
     return PictureFuzzyMultiset(a.grid, lam * a.values + mu * b.values)
-
-
-def segment_grade_blend(
-    ms: PictureFuzzyMultiset,
-    x: float,
-    y: float,
-    lam: float,
-    level: int,
-) -> GradeTriple:
-    """Affine blend of the grades at two domain points:
-    (1 - lam) * value(x) + lam * value(y), channel by channel.
-
-    This is the grade-side quantity that convexity witnesses compare
-    against; it is generally different from evaluating at the blended
-    coordinate."""
-    lam = check_unit(lam, "lambda")
-    gx = ms.evaluate(x, level)
-    gy = ms.evaluate(y, level)
-    mu = 1.0 - lam
-    return GradeTriple(
-        mu * gx.positive + lam * gy.positive,
-        mu * gx.neutral + lam * gy.neutral,
-        mu * gx.negative + lam * gy.negative,
-    )
-
-
-def pcc_points(
-    points: Sequence[GradeTriple],
-    weights: ChannelWeights | Sequence[Sequence[float]],
-) -> GradeTriple:
-    """Channel-split convex combination of grade triples.
-
-    Each point contributes through its own weight triple; the positive
-    output is the weighted sum of positive inputs with the positive
-    weights, and likewise per channel.  The joint weight normalisation
-    guarantees the output is a valid triple."""
-    w = ChannelWeights.of(weights)
-    if len(points) != len(w):
-        raise LengthMismatch(
-            f"{len(points)} points but {len(w)} weight triples"
-        )
-    pos = math.fsum(wt[0] * t.positive for wt, t in zip(w, points))
-    neu = math.fsum(wt[1] * t.neutral for wt, t in zip(w, points))
-    neg = math.fsum(wt[2] * t.negative for wt, t in zip(w, points))
-    return GradeTriple(pos, neu, neg)

@@ -9,34 +9,35 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-The exact check and the hull read one least unimodal majorant per
-(level, channel) row, the smaller of the two running maxima of the row
-signed by CHANNEL_SIGNS, so that every channel is quasi-concave when
-convex: a node dips where the majorant exceeds it by more than TOL_CMP,
-and the hull is the majorants signed back.  On instances of at least
-_ROW_TEST_TRIPLES triples most rows need no scan: a row in which no
-strict rise follows a strict fall is unimodal, so it has no dip and is
-its own least unimodal majorant, bit for bit (see _dipping_rows).  One
-pass of comparisons in the stored (points, levels, 3) layout finds the
-rows that fail this test, and one window of nodes, from the earliest
-first strict fall to the latest last strict rise among them plus one
-node, outside which each of them is nondecreasing before and
-nonincreasing after.  Only the window of those rows is gathered into a
-contiguous signed copy and scanned: a running maximum seeded at a
-window edge holds the bits of a whole-row scan there, and no node
-outside the window dips.  The exact check reads its verdicts off the
-window and shifts its witness by the window's start; an instance with
-no such row is convex and its own hull.  The hull copies the grade
-array once and writes the envelopes over the window; a hull works out
-its sum flags from its envelopes when they are read.
-Smaller instances, where the test's fixed cost would outweigh the scans,
-scan every row of a channel-major copy, shape (levels, 3, points), made
-in one numpy call.  Either way each row sees the operations of a scan
-down the points axis in the same order, so results are bit-identical to
-one, ties between 0.0 and -0.0 included.  A cut solves a crossing only
-on the segments where its boundary crosses, so a region is the runs of
-nodes inside it, each widened to its crossings; regions of the three
-channels are intersected as interval unions.
+The exact check and the hull share one scan body.  They read one least
+unimodal majorant per (level, channel) row, the smaller of the two
+running maxima of the row signed by CHANNEL_SIGNS, so that every channel
+is quasi-concave when convex: a node dips where the majorant exceeds it
+by more than TOL_CMP, and the hull is the majorants signed back.  Which
+rows are scanned, and over which window of nodes, is the only thing that
+depends on size (_scan_rows).  Instances below _ROW_TEST_TRIPLES triples
+scan every row over every node.  On larger ones most rows need no scan:
+a row in which no strict rise follows a strict fall is unimodal, so it
+has no dip and is its own least unimodal majorant, bit for bit (see
+_dipping_rows).  One pass of comparisons in the stored (points, levels,
+3) layout finds the rows that fail this test, and one window of nodes,
+from the earliest first strict fall to the latest last strict rise among
+them plus one node, outside which each of them is nondecreasing before
+and nonincreasing after; a running maximum seeded at a window edge holds
+the bits of a whole-row scan there, and no node outside the window dips.
+The scanned rows are gathered over the window into one contiguous signed
+copy.  The exact check reads its verdicts off it and shifts its witness
+by the window's start; an instance with no row to scan is convex and its
+own hull.  The hull copies the grade array once and writes the envelopes
+over the window; a hull works out its sum flags from its envelopes when
+they are read.  Each row sees the operations of a scan down the points
+axis in the same order, so results are bit-identical to one, ties
+between 0.0 and -0.0 included.
+
+A cut solves a crossing only on the segments where its boundary crosses,
+so a region is the runs of nodes inside it, each widened to its
+crossings; regions of the three channels are intersected as interval
+unions.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
@@ -55,6 +56,7 @@ raise TooLarge.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -222,40 +224,25 @@ class GradeField:
 
 
 # ---------------------------------------------------------------------------
-# node-sequence shape tests
-
-
-def is_unimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
-    """True when the sequence rises to a peak and then falls, up to ``tol``.
-
-    Equivalent to: no interior value sits more than ``tol`` below both
-    some value to its left and some value to its right."""
-    return _worst_dip(np.asarray(values, dtype=np.float64), tol) is None
-
-
-def is_antiunimodal(values: Sequence[float], tol: float = TOL_CMP) -> bool:
-    """True when the sequence falls to a valley and then rises, up to ``tol``."""
-    return _worst_dip(-np.asarray(values, dtype=np.float64), tol) is None
+# dips below the majorant
 
 
 def _worst_dip(
-    values: np.ndarray, tol: float, env: np.ndarray | None = None
+    values: np.ndarray, tol: float, env: np.ndarray
 ) -> tuple[int, int, int] | None:
     """Deepest dip of a 1-D array deeper than ``tol`` below its least
-    unimodal majorant, as (left, mid, right): ``mid`` is the first of the
-    deepest dipping nodes, ``left``/``right`` its nearest flanks reaching
-    the majorant there; or None.  ``env`` is _majorant(values), when the
-    caller has it."""
-    if len(values) < 3:
-        return None
-    if env is None:
-        env = _majorant(values)
+    unimodal majorant ``env`` (_majorant(values)), as (left, mid, right):
+    ``mid`` is the first of the deepest dipping nodes, ``left``/``right``
+    its nearest flanks reaching the majorant there; or None.  A dipping
+    node has such a flank on each side, as the majorant is the smaller of
+    the running maxima from both ends."""
     deficit = env - values
     mid = int(deficit.argmax())
     if not deficit[mid] > tol:
         return None
-    left = int(np.flatnonzero(values[:mid] >= env[mid])[-1])
-    right = mid + 1 + int(np.flatnonzero(values[mid + 1 :] >= env[mid])[0])
+    top = env[mid]
+    left = mid - 1 - int((values[mid - 1 :: -1] >= top).argmax())
+    right = mid + 1 + int((values[mid + 1 :] >= top).argmax())
     return left, mid, right
 
 
@@ -263,26 +250,36 @@ def _worst_dip(
 # exact and sampled convexity checks
 
 
-_ROW_SIGNS = CHANNEL_SIGNS[:, None]  # one sign per row of a channel-major array
-
-
-def _channel_major(values: np.ndarray) -> np.ndarray:
-    """Fresh C-ordered (levels, 3, points) copy of an (points, levels, 3)
-    grade array with the negative channel negated, so that every channel
-    reads "larger is better" and each (level, channel) column is one
-    contiguous row."""
-    return np.multiply(values.transpose(1, 2, 0), _ROW_SIGNS, order="C")
-
-
 # Instances of at least this many triples (points times levels) test
 # every (level, channel) row for a dip (_dipping_rows) before any running
-# maximum is taken; smaller ones scan every row, as the test's fixed cost
-# of about 20 us would outweigh the scans it saves.  Not a setting: it
-# rests on the crossover table in CHANGES.md, where from 768 triples the
-# test is as fast or faster at depths 1-8 except for a depth-2 hull with
-# a dipping row, and keeps every lab instance (at most 64 triples) on the
-# full scan.
+# maximum is taken; smaller ones scan every row over every node, as the
+# test's fixed cost of about 20 us would outweigh the scans it saves.  Not
+# a setting: it rests on the crossover table in CHANGES.md, where from 768
+# triples the test is as fast or faster at depths 1-8 except for a depth-2
+# hull with a dipping row, and keeps every lab instance (at most 64
+# triples) on the full scan.
 _ROW_TEST_TRIPLES = 768
+
+
+def _scan_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
+    """Rows, as flat indices 3 * level + channel, of an (points, levels, 3)
+    grade array that the exact check and the hull scan, and the window of
+    nodes they scan them over: every row over every node below
+    _ROW_TEST_TRIPLES triples, else the rows and window of _dipping_rows."""
+    points, depth = values.shape[:2]
+    if points * depth < _ROW_TEST_TRIPLES:
+        return _every_row(depth), slice(0, points)
+    return _dipping_rows(values)
+
+
+@functools.cache
+def _every_row(depth: int) -> np.ndarray:
+    """Read-only flat indices of every row of ``depth`` levels, made once
+    per depth; only depths below _ROW_TEST_TRIPLES reach it, so the cache
+    stays bounded."""
+    rows = np.arange(3 * depth)
+    rows.setflags(write=False)
+    return rows
 
 
 def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
@@ -326,11 +323,20 @@ def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
     return rows, slice(int(first_fall[rows].min()), int(last_rise[rows].max()) + 2)
 
 
-def _signed_rows(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Contiguous signed copy of the flat ``rows`` of a grade array, one
-    per index, each as _channel_major would give it."""
-    k, c = np.divmod(rows, 3)
-    return np.multiply(values[:, k, c].T, CHANNEL_SIGNS[c][:, None], order="C")
+def _signed_rows(flat: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Contiguous copy of the ``rows`` (columns) of a (points, 3 * levels)
+    view of a grade array, one per index, each times its sign in
+    ``signs`` (_row_signs(rows)) so that it reads "larger is better"."""
+    return np.multiply(flat.take(rows, axis=1).T, signs, order="C")
+
+
+_SIGN_COLUMN = CHANNEL_SIGNS[:, None]
+
+
+def _row_signs(rows: np.ndarray) -> np.ndarray:
+    """CHANNEL_SIGNS of the flat ``rows``, as a column: row 3 * k + c
+    takes CHANNEL_SIGNS[c]."""
+    return _SIGN_COLUMN.take(rows, axis=0, mode="wrap")
 
 
 def _node_witness(
@@ -353,37 +359,27 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     any, is the deepest offending node of the first failing level and
     channel, with its nearest adequate flanks.
 
-    From _ROW_TEST_TRIPLES triples only the rows and the window of
-    _dipping_rows are scanned, and the witness's node indices are shifted
-    by the window's start: the flanks are found inside the window, as a
-    running maximum reaches its value at a node it has scanned.  With no
-    such row the instance is convex at once."""
-    witness: Witness | None = None
-    if ms.size * ms.depth < _ROW_TEST_TRIPLES:
-        signed = _channel_major(ms.values)
-        env = _majorant(signed)
-        bad = env - signed > TOL_CMP
-        level_bad = bad.any(axis=(1, 2)).tolist()
-        if True in level_bad:
-            k = level_bad.index(True)
-            c = int(bad[k].any(axis=-1).argmax())
-            witness = _node_witness(ms, k, c, *_worst_dip(signed[k, c], TOL_CMP, env[k, c]))
-    else:  # rows without a rise after a fall have no dip
-        rows, win = _dipping_rows(ms.values)
-        if not rows.size:
-            return ConvexityReport(convex=True, levels=(True,) * ms.depth)
-        signed = _signed_rows(ms.values[win], rows)
-        env = _majorant(signed)
-        bad = np.flatnonzero((env - signed > TOL_CMP).any(axis=-1))
-        failed = set((rows[bad] // 3).tolist())
-        level_bad = [k in failed for k in range(ms.depth)]
-        if bad.size:  # rows are in level, then channel order
-            i = bad[0]
-            k, c = divmod(int(rows[i]), 3)
-            dip = _worst_dip(signed[i], TOL_CMP, env[i])
-            witness = _node_witness(ms, k, c, *(j + win.start for j in dip))
-    levels = tuple([not b for b in level_bad])
-    return ConvexityReport(convex=witness is None, levels=levels, witness=witness)
+    Only the rows and the window of _scan_rows are scanned, and the
+    witness's node indices are shifted by the window's start: the flanks
+    are found inside the window, as a running maximum reaches its value at
+    a node it has scanned.  With no row to scan the instance is convex at
+    once."""
+    rows, win = _scan_rows(ms.values)
+    if not rows.size:  # rows without a rise after a fall have no dip
+        return ConvexityReport(convex=True, levels=(True,) * ms.depth)
+    signed = _signed_rows(ms.values.reshape(ms.size, -1)[win], rows, _row_signs(rows))
+    env = _majorant(signed)
+    deficit = env - signed
+    if not deficit.max() > TOL_CMP:
+        return ConvexityReport(convex=True, levels=(True,) * ms.depth)
+    bad = (deficit > TOL_CMP).any(axis=-1).nonzero()[0]
+    failed = rows[bad].tolist()  # in level, then channel order
+    failed_levels = {r // 3 for r in failed}
+    levels = tuple([k not in failed_levels for k in range(ms.depth)])
+    k, c = divmod(failed[0], 3)
+    dip = _worst_dip(signed[bad[0]], TOL_CMP, env[bad[0]])
+    witness = _node_witness(ms, k, c, *(j + win.start for j in dip))
+    return ConvexityReport(convex=False, levels=levels, witness=witness)
 
 
 def is_convex_sampled(
@@ -582,20 +578,11 @@ def _majorant(values: np.ndarray) -> np.ndarray:
     At each index, any unimodal majorant must reach the running maximum
     from whichever side its peak lies on, so the pointwise least one is
     the smaller of the two running maxima.  On ties (0.0 against -0.0) the
-    running maxima keep the current value and the minimum the left one."""
+    running maxima keep the current value, and np.minimum keeps its second
+    operand, here the left maximum, in its scalar and vector loops alike."""
     left = np.maximum.accumulate(values, axis=-1)
     right = np.maximum.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
-    return np.where(right < left, right, left)
-
-
-def unimodal_majorant(values: Sequence[float]) -> tuple[float, ...]:
-    """Least unimodal sequence dominating ``values`` pointwise."""
-    return tuple(_majorant(np.asarray(values, dtype=np.float64)).tolist())
-
-
-def antiunimodal_minorant(values: Sequence[float]) -> tuple[float, ...]:
-    """Greatest anti-unimodal sequence dominated by ``values`` pointwise."""
-    return tuple((-_majorant(-np.asarray(values, dtype=np.float64))).tolist())
+    return np.minimum(right, left)
 
 
 def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
@@ -607,22 +594,18 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     independently, so a node's sum bound can break; such nodes are
     flagged invalid rather than repaired.
 
-    From _ROW_TEST_TRIPLES triples the grade array is copied once and
-    only the rows of _dipping_rows are rewritten, over its window only,
-    as every row is its own envelope elsewhere."""
-    if ms.size * ms.depth < _ROW_TEST_TRIPLES:
-        hull = _majorant(_channel_major(ms.values))
-        hull *= _ROW_SIGNS
-        return GradeField.from_envelopes(ms.grid, hull.transpose(2, 0, 1))
-    # every row without a rise after a fall is its own majorant, and so is
-    # every other row outside the window
-    scan, win = _dipping_rows(ms.values)
-    if not scan.size:
+    The grade array is copied once and only the rows of _scan_rows are
+    rewritten, over its window only, as every row is its own envelope
+    elsewhere."""
+    rows, win = _scan_rows(ms.values)
+    if not rows.size:
         return GradeField(ms.grid, ms.values)
     hull = np.array(ms.values)
-    part = hull[win]
-    envelopes = _majorant(_signed_rows(part, scan)) * CHANNEL_SIGNS[scan % 3, None]
-    part.reshape(len(part), -1)[:, scan] = envelopes.T
+    flat = hull.reshape(ms.size, -1)
+    signs = _row_signs(rows)
+    envelopes = _majorant(_signed_rows(flat[win], rows, signs))
+    envelopes *= signs
+    flat[win, rows] = envelopes.T
     hull.setflags(write=False)
     return GradeField(ms.grid, hull)
 

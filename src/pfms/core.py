@@ -367,16 +367,20 @@ def _within_sum(values: np.ndarray) -> np.ndarray:
 
 def real_array(values) -> np.ndarray | None:
     """Fresh C-ordered (m, depth, 3) float64 copy of ``values`` if it holds
-    only numbers check_unit accepts, else None.  Types are scanned first,
-    as numpy would turn True into 1.0 and "0.5" into 0.5."""
+    only numbers check_unit accepts, else None.  Points and levels are
+    measured with len before any of them is iterated, so an iterator
+    among them is refused unread and the caller's point-by-point path
+    still sees its items.  Types are scanned before the conversion, as
+    numpy would turn True into 1.0 and "0.5" into 0.5."""
     if isinstance(values, np.ndarray):
         ok = values.dtype == np.float64 and values.ndim == 3 and values.shape[2] == 3
         return np.array(values, order="C") if ok and values.size else None
     try:
+        depths = set(map(len, values))
         levels = list(chain.from_iterable(values))
-        depths, kinds = set(map(len, values)), set(map(type, chain.from_iterable(levels)))
         if len(depths) == 1 and 0 not in depths and set(map(len, levels)) == {3} and all(
-            issubclass(t, (int, float)) and t is not bool for t in kinds
+            issubclass(t, (int, float)) and t is not bool
+            for t in set(map(type, chain.from_iterable(levels)))
         ):
             flat = np.fromiter(chain.from_iterable(levels), np.float64, 3 * len(levels))
             return flat.reshape(len(values), -1, 3)
@@ -631,7 +635,11 @@ class CutRegion:
     def __post_init__(self) -> None:
         raw = []
         lo, hi = -math.inf, math.inf
-        for a, b in self.intervals:
+        for pair in self.intervals:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise MalformedRegion(f"interval {pair!r} is not a pair of endpoints") from None
             if not (type(a) is float and type(b) is float):
                 for x in filterfalse(_is_real, (a, b)):
                     raise MalformedRegion(f"interval endpoint {x!r} is not a real number")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfms import (
-    ChannelWeights,
     DepthMismatch,
     GradeTriple,
     GridMismatch,
@@ -21,8 +20,6 @@ from pfms import (
     includes,
     intersection,
     multiset_from_values,
-    pcc_points,
-    segment_grade_blend,
     union,
 )
 
@@ -55,15 +52,6 @@ class TestWeights:
 
         with pytest.raises(OutOfUnitInterval):
             WeightVector((1.5, -0.5))
-
-    def test_channel_weights_joint_sum(self):
-        ChannelWeights(((0.3, 0.1, 0.1), (0.3, 0.1, 0.1)))
-        with pytest.raises(WeightSumInvalid):
-            ChannelWeights(((0.3, 0.1, 0.1), (0.3, 0.1, 0.2)))
-
-    def test_channel_weights_per_triple_cap(self):
-        with pytest.raises(WeightSumInvalid):
-            ChannelWeights(((0.6, 0.3, 0.2), (0.0, 0.0, 0.0)))
 
 
 class TestIncludes:
@@ -258,64 +246,6 @@ class TestConvexCombination:
         other = multiset_from_values((0.0, 1.0, 3.0), [[[0.1, 0.1, 0.1]]] * 3)
         with pytest.raises(GridMismatch):
             convex_combination(convex_ms, other, 0.5)
-
-
-class TestSegmentGradeBlend:
-    def test_endpoints(self, convex_ms):
-        assert segment_grade_blend(convex_ms, 0.0, 2.0, 0.0, 1) == convex_ms.evaluate(
-            0.0, 1
-        )
-        assert segment_grade_blend(convex_ms, 0.0, 2.0, 1.0, 1) == convex_ms.evaluate(
-            2.0, 1
-        )
-
-    def test_midpoint_example(self, convex_ms):
-        out = segment_grade_blend(convex_ms, 0.0, 2.0, 0.5, 1)
-        assert out.positive == pytest.approx(0.25, **APPROX)
-        assert out.neutral == pytest.approx(0.1, **APPROX)
-        assert out.negative == pytest.approx(0.45, **APPROX)
-
-
-class TestPccPoints:
-    def test_degenerate_single_point(self):
-        out = pcc_points([GradeTriple(0.7, 0.2, 0.1)], [(1.0, 0.0, 0.0)])
-        assert out.as_tuple() == (0.7, 0.0, 0.0)
-
-    def test_two_point_example(self):
-        out = pcc_points(
-            [GradeTriple(0.6, 0.2, 0.1), GradeTriple(0.4, 0.1, 0.2)],
-            [(0.3, 0.1, 0.1), (0.3, 0.1, 0.1)],
-        )
-        assert out.positive == pytest.approx(0.30, **APPROX)
-        assert out.neutral == pytest.approx(0.03, **APPROX)
-        assert out.negative == pytest.approx(0.03, **APPROX)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            pcc_points([GradeTriple(0.5, 0.2, 0.2)], [(0.5, 0.0, 0.0), (0.5, 0.0, 0.0)])
-
-    def test_output_always_valid(self):
-        # closure: output sum bounded by the joint weight sum
-        import random
-
-        rng = random.Random(7)
-        for _ in range(200):
-            n = 1 + rng.randrange(4)
-            triples = []
-            for _ in range(n):
-                p, u, g = rng.random(), rng.random(), rng.random()
-                total = p + u + g
-                if total > 1.0:
-                    scale = rng.uniform(0.5, 1.0) / total
-                    p, u, g = p * scale, u * scale, g * scale
-                triples.append(GradeTriple(p, u, g))
-            raw = [[rng.random() for _ in range(3)] for _ in range(n)]
-            joint = sum(sum(row) for row in raw)
-            weights = [
-                tuple(v / joint for v in row) for row in raw
-            ]
-            out = pcc_points(triples, weights)
-            assert out.positive + out.neutral + out.negative <= 1.0 + 1e-9
 
 
 class TestSignedZeroTies:

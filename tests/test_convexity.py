@@ -21,21 +21,19 @@ from pfms import (
     SumExceedsOne,
     TooLarge,
     WeightSumInvalid,
-    antiunimodal_minorant,
     convex_hull,
     cut,
     cuts_all_convex,
     hull_membership_test,
-    is_antiunimodal,
     is_convex_exact,
     is_convex_sampled,
-    is_unimodal,
     jensen_check,
     multiset_from_values,
     oracle_convexity,
-    unimodal_majorant,
 )
 from pfms import convexity
+from pfms.convexity import _majorant, _worst_dip
+from pfms.lab import _rises_after_falling
 
 APPROX = dict(abs=1e-12)
 
@@ -48,20 +46,30 @@ def region_subset(inner, outer):
     return inner.intersect(outer).intervals == inner.intervals
 
 
+def negative_only(points, values):
+    return multiset_from_values(points, [[[0.0, 0.0, v]] for v in values])
+
+
 class TestShapePredicates:
+    """The shape rules of one row, on three-node instances of one channel
+    through the exact check, and on the dip kernel itself."""
+
     def test_unimodal_basics(self):
-        assert is_unimodal([0.2, 0.6, 0.3])
-        assert is_unimodal([0.1, 0.1, 0.1])
-        assert is_unimodal([0.3, 0.3, 0.2])  # plateau then fall
-        assert not is_unimodal([0.6, 0.1, 0.5])
+        for values in ((0.2, 0.6, 0.3), (0.1, 0.1, 0.1), (0.3, 0.3, 0.2)):  # plateaus too
+            assert is_convex_exact(positive_only((0.0, 1.0, 2.0), values)).convex
+        assert not is_convex_exact(positive_only((0.0, 1.0, 2.0), (0.6, 0.1, 0.5))).convex
 
     def test_antiunimodal_basics(self):
-        assert is_antiunimodal([0.5, 0.1, 0.4])
-        assert not is_antiunimodal([0.1, 0.6, 0.2])
+        assert is_convex_exact(negative_only((0.0, 1.0, 2.0), (0.5, 0.1, 0.4))).convex
+        assert not is_convex_exact(negative_only((0.0, 1.0, 2.0), (0.1, 0.6, 0.2))).convex
 
     def test_tolerance_absorbs_shallow_dips(self):
-        assert is_unimodal([0.3, 0.3 - 1e-10, 0.3])
-        assert not is_unimodal([0.3, 0.3 - 1e-8, 0.3])
+        for dip, convex in ((1e-10, True), (1e-8, False)):
+            ms = positive_only((0.0, 1.0, 2.0), (0.3, 0.3 - dip, 0.3))
+            assert is_convex_exact(ms).convex is convex
+            row = np.array([0.3, 0.3 - dip, 0.3])
+            assert (_worst_dip(row, TOL_CMP, _majorant(row)) is None) is convex
+            assert _worst_dip(row, 0.0, _majorant(row)) == (0, 1, 2)
 
 
 class TestIsConvexExact:
@@ -865,25 +873,25 @@ class TestJensen:
 
 class TestEnvelopes:
     def test_majorant_frozen_example(self):
-        assert unimodal_majorant([0.6, 0.1, 0.5]) == (0.6, 0.5, 0.5)
+        assert _majorant(np.array([0.6, 0.1, 0.5])).tolist() == [0.6, 0.5, 0.5]
 
     def test_minorant_frozen_example(self):
-        assert antiunimodal_minorant([0.1, 0.6, 0.2]) == (0.1, 0.2, 0.2)
+        hull = convex_hull(negative_only((0.0, 1.0, 2.0), (0.1, 0.6, 0.2)))
+        assert hull.channel_nodes("negative", 1) == (0.1, 0.2, 0.2)
 
     def test_identity_on_well_shaped_input(self):
-        assert unimodal_majorant([0.2, 0.6, 0.3]) == (0.2, 0.6, 0.3)
-        assert antiunimodal_minorant([0.5, 0.1, 0.4]) == (0.5, 0.1, 0.4)
+        assert _majorant(np.array([0.2, 0.6, 0.3])).tolist() == [0.2, 0.6, 0.3]
+        hull = convex_hull(negative_only((0.0, 1.0, 2.0), (0.5, 0.1, 0.4)))
+        assert hull.channel_nodes("negative", 1) == (0.5, 0.1, 0.4)
 
     def test_idempotent_and_dominant(self):
-        values = [0.3, 0.05, 0.5, 0.2, 0.45, 0.1]
-        up = unimodal_majorant(values)
-        assert unimodal_majorant(up) == up
-        assert all(u >= v for u, v in zip(up, values))
-        assert is_unimodal(up, tol=0.0)
-        down = antiunimodal_minorant(values)
-        assert antiunimodal_minorant(down) == down
-        assert all(d <= v for d, v in zip(down, values))
-        assert is_antiunimodal(down, tol=0.0)
+        values = np.array([0.3, 0.05, 0.5, 0.2, 0.45, 0.1])
+        for signed in (values, -values):  # a minorant is a majorant mirrored
+            up = _majorant(signed)
+            assert np.array_equal(_majorant(up), up)
+            assert (up >= signed).all()
+            assert _worst_dip(up, 0.0, _majorant(up)) is None
+            assert not _rises_after_falling(up.tolist())
 
 
 class TestConvexHull:

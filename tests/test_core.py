@@ -380,7 +380,9 @@ class TestPictureFuzzyMultiset:
 # the library used before, as float64 bytes in hex or as an error, except for
 # the malformed shapes (2-D, 1-D, 4 channels, 2-element triples): that
 # construction let them escape as a bare TypeError, and they now raise
-# LengthMismatch.
+# LengthMismatch.  The iterator cases build as the tuples do: real_array
+# measures every point and level before it reads any, so it leaves them
+# unread for the scalar path.
 _ROWS = [[[0.5, 0.25, 0.125]], [[0.1, 0.2, 0.3]]]
 _ROWS_HEX = (
     "000000000000e03f000000000000d03f000000000000c03f"
@@ -399,6 +401,8 @@ _FALLBACK_PINS = {
     "object": (np.array(_ROWS, dtype=object), _ROWS_HEX),
     "tuples": (tuple(tuple(map(tuple, point)) for point in _ROWS), _ROWS_HEX),
     "generator": (lambda: (point for point in _ROWS), _ROWS_HEX),
+    "iterator points": (lambda: [iter(point) for point in _ROWS], _ROWS_HEX),
+    "iterator levels": (lambda: [[iter(level) for level in point] for point in _ROWS], _ROWS_HEX),
     "bool": (
         np.array([[[False, False, False]], [[True, False, False]]]),
         (OutOfUnitInterval, "positive must be a real number, got False"),
@@ -554,6 +558,14 @@ class TestCutRegion:
         assert region.contains(1.0)
         assert not region.contains(1.0001)
         assert region.is_convex
+
+    @pytest.mark.parametrize("intervals, shown", [
+        (((1.0,),), "(1.0,)"), (((1.0, 2.0, 3.0),), "(1.0, 2.0, 3.0)"), ((1.0, 2.0), "1.0"),
+    ])
+    def test_intervals_must_be_pairs(self, intervals, shown):
+        with pytest.raises(MalformedRegion) as refused:
+            CutRegion(intervals)
+        assert str(refused.value) == f"interval {shown} is not a pair of endpoints"
 
     def test_reversed_interval_rejected(self):
         bad_intervals = (
@@ -737,6 +749,31 @@ def test_every_private_module_name_is_read_in_the_package():
             dead += [f"{module}:{node.lineno} {name}" for name in names
                      if name.startswith("_") and not name.startswith("__") and name not in read]
     assert len(trees) > 1 and dead == []
+
+
+def test_every_export_is_read_in_the_package():
+    # an export that no module of the package reads outside its own
+    # definition has only its tests as callers; __init__ only re-exports,
+    # and a read from inside such an export does not count either
+    tops = []  # (name defined, names read) per module-level statement
+    for path in sorted(Path(pfms.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            names = set(_annotation_names(top))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+            own = getattr(top, "name", None)
+            tops.append((own, names - {own}))
+    unread, before = set(), None
+    while unread != before:
+        before = unread
+        read = set().union(*(names for own, names in tops if own not in unread))
+        unread = set(pfms.__all__) - read - {"__version__"}
+    assert sorted(unread) == []
 
 
 def _evaluate_outcome(ms, x, level):

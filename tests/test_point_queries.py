@@ -1,14 +1,14 @@
 """Point queries pinned bit for bit.
 
 Every case below calls one public point query (locate, evaluate,
-GradeTriple, jensen_check, hull_membership_test, segment_grade_blend,
-GradeField.channel_at, or a grid constructor).  Its outcome is recorded
-as the (type, repr) of every result field, or as the error class and
-message, and compared with ``point_queries_pinned.json``.  That file was
-recorded from the plain scalar implementation, before the fast paths in
-GradeTriple and DomainGrid.locate existed; it is evidence, not a
-snapshot to regenerate when the test fails.  Messages quote numpy
-scalars as numpy 2 prints them.
+GradeTriple, jensen_check, hull_membership_test, GradeField.channel_at,
+or a grid constructor).  Its outcome is recorded as the (type, repr) of
+every result field, or as the error class and message, and compared with
+``point_queries_pinned.json``.  That file was recorded from the plain
+scalar implementation, before the fast paths in GradeTriple and
+DomainGrid.locate existed; it is evidence, not a snapshot to regenerate
+when the test fails.  Messages quote numpy scalars as numpy 2 prints
+them.
 
 Inputs cover ints, bools and numpy scalars, NaN, infinities, -0.0,
 coordinates at the slack edges of the domain and 1 ulp beyond them,
@@ -34,7 +34,6 @@ from pfms import (
     hull_membership_test,
     jensen_check,
     multiset_from_values,
-    segment_grade_blend,
 )
 
 PINNED = Path(__file__).with_name("point_queries_pinned.json")
@@ -247,24 +246,6 @@ def _instance_cases(grid_name, points, levels):
                 lambda ms=ms: jensen_check(ms, [lo, hi], [0.5, 0.5], 0)))
     out.append((f"hull_membership_test/{grid_name}/level-over",
                 lambda ms=ms: hull_membership_test(ms, [lo], [1.0], depth + 1)))
-
-    ends = {"lo": lo, "hi": hi, "mid": mid, "int": int(lo), "np": np.float64(hi),
-            "edge-out": xs["edge-hi-1ulp-out"], "nan": math.nan, "-0.0": -0.0}
-    lams = {"half": 0.5, "0": 0, "1": 1, "third": 1 / 3, "np": np.float64(0.25),
-            "true": True, "nan": math.nan, "hi-edge": _HI,
-            "hi-edge-1ulp-out": _ulp(_HI, _UP), "neg": -0.5}
-    for xname, x in ends.items():
-        for yname in ("hi", "mid", "edge-out", "-0.0"):
-            y = ends[yname]
-            out.append((f"segment_grade_blend/{grid_name}/{xname}-{yname}/half",
-                        lambda x=x, y=y, ms=ms: segment_grade_blend(ms, x, y, 0.5, 1)))
-    for lname, lam in lams.items():
-        for level in sorted({1, depth}):
-            out.append((f"segment_grade_blend/{grid_name}/lam-{lname}/level{level}",
-                        lambda lam=lam, level=level, ms=ms:
-                        segment_grade_blend(ms, lo, hi, lam, level)))
-    out.append((f"segment_grade_blend/{grid_name}/level0",
-                lambda ms=ms: segment_grade_blend(ms, lo, hi, 0.5, 0)))
 
     field = convex_hull(ms)
     for i, (xname, x) in enumerate(xs.items()):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pfms import (
@@ -14,8 +15,8 @@ from pfms import (
     multiset_from_values,
     union,
 )
-from pfms.convexity import is_unimodal, unimodal_majorant
-from pfms.lab import _least_unimodal_by_search
+from pfms.convexity import _majorant, _worst_dip
+from pfms.lab import _least_unimodal_by_search, _rises_after_falling
 
 settings.register_profile("suite", settings(derandomize=True, max_examples=100))
 settings.load_profile("suite")
@@ -142,19 +143,20 @@ short_value_lists = st.lists(
 class TestUnimodalEnvelope:
     @given(short_value_lists)
     def test_majorant_properties(self, values):
-        env = unimodal_majorant(values)
+        env = _majorant(np.array(values))
         assert len(env) == len(values)
-        assert all(e >= v for e, v in zip(env, values))
-        assert is_unimodal(env, tol=0.0)
+        assert all(e >= v for e, v in zip(env.tolist(), values))
+        assert _worst_dip(env, 0.0, _majorant(env)) is None
+        assert not _rises_after_falling(env.tolist())
 
     @given(short_value_lists)
     def test_majorant_is_idempotent(self, values):
-        env = unimodal_majorant(values)
-        assert unimodal_majorant(env) == env
+        env = _majorant(np.array(values))
+        assert _majorant(env).tolist() == env.tolist()
 
     @given(short_value_lists)
     def test_majorant_is_least(self, values):
-        assert unimodal_majorant(values) == _least_unimodal_by_search(values)
+        assert tuple(_majorant(np.array(values)).tolist()) == _least_unimodal_by_search(values)
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
