@@ -11,16 +11,11 @@ over the operands' (points, levels, 3) value arrays.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .core import (
     CHANNEL_SIGNS,
     TOL_CMP,
-    TOL_SUM,
     PfmsError,
     PictureFuzzyMultiset,
     SumExceedsOne,
@@ -35,45 +30,6 @@ class GridMismatch(PfmsError):
 
 class DepthMismatch(PfmsError):
     """Operands carry different numbers of levels."""
-
-
-class WeightSumInvalid(PfmsError):
-    """Weights do not sum to one within tolerance."""
-
-
-@dataclass(frozen=True, slots=True)
-class WeightVector:
-    """Scalar convex weights: each in [0, 1], summing to one.
-
-    This is the weight form that interacts with convexity: one scalar per
-    point, applied to every channel alike.
-    """
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ws = tuple(check_unit(w, "weight") for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if not ws:
-            raise WeightSumInvalid("at least one weight is required")
-        total = math.fsum(ws)
-        if abs(total - 1.0) > TOL_SUM:
-            raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
-
-    @classmethod
-    def of(cls, weights: "WeightVector | Sequence[float]") -> "WeightVector":
-        if isinstance(weights, WeightVector):
-            return weights
-        return cls(tuple(weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __getitem__(self, i: int) -> float:
-        return self.weights[i]
 
 
 def _check_aligned(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> None:

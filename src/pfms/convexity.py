@@ -67,6 +67,7 @@ import numpy as np
 from .core import (
     CHANNEL_SIGNS,
     TOL_CMP,
+    TOL_SUM,
     CHANNELS,
     CutRegion,
     CutThresholds,
@@ -75,18 +76,21 @@ from .core import (
     LengthMismatch,
     PfmsError,
     PictureFuzzyMultiset,
-    SumExceedsOne,
     TooLarge,
     _shown,
     _within_sum,
     channel_index,
+    check_unit,
     level_index,
 )
-from .algebra import WeightVector
 
 _MAX_PAIR_SAMPLES = 1_000_000  # largest pair_samples is_convex_sampled accepts
 _MAX_LAMBDA_SAMPLES = 10_000  # largest lambda_samples it accepts
 _BLOCK_POINTS = 8_192  # coordinates per pair block of the sampled check
+
+
+class WeightSumInvalid(PfmsError):
+    """Weights do not sum to one within tolerance."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,16 +215,6 @@ class GradeField:
             return float(nodes[i])
         a, b = nodes[i : i + 2].tolist()
         return (1.0 - t) * a + t * b
-
-    def to_multiset(self) -> PictureFuzzyMultiset:
-        """Reinterpret as a multiset; raises SumExceedsOne when any node
-        and level is flagged invalid."""
-        if not self.mask.all():
-            i, k = divmod(int(self.mask.argmin()), self.depth)
-            raise SumExceedsOne(
-                f"hull triple at node {i}, level {k + 1} exceeds the sum bound"
-            )
-        return PictureFuzzyMultiset(self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +501,14 @@ def cut(
     The region collects the points whose positive degree reaches ``r``,
     whose neutral degree reaches ``s`` and whose negative degree stays at
     or below ``t``; it is a finite union of closed intervals with
-    endpoints solved on the segments the cut's boundary crosses."""
+    endpoints solved on the segments the cut's boundary crosses.
+    Thresholds other than a CutThresholds must be three values (r, s, t)."""
     if not isinstance(thresholds, CutThresholds):
-        thresholds = CutThresholds(*thresholds)
+        # a number or None counts as one value, as a level's does
+        values = tuple(thresholds) if np.iterable(thresholds) else (thresholds,)
+        if len(values) != 3:
+            raise LengthMismatch(f"thresholds must be three values (r, s, t), got {len(values)}")
+        thresholds = CutThresholds(*values)
     k = ms.level_index(level)
     xs, v = ms.grid.coords, ms.values
     region = _upper_region(xs, v[:, k, 0], thresholds.r)
@@ -525,11 +524,17 @@ def cut(
 def _grades_at(
     ms: PictureFuzzyMultiset,
     points: Sequence[float],
-    weights: WeightVector | Sequence[float],
+    weights: Sequence[float],
     level: int,
-) -> tuple[WeightVector, list[GradeTriple]]:
-    """Validated weights and the grades at ``points``, one per weight."""
-    w = WeightVector.of(weights)
+) -> tuple[tuple[float, ...], list[GradeTriple]]:
+    """Validated weights, one scalar per point for every channel, and the
+    grades at ``points``; the weights are checked before they are counted."""
+    w = tuple(check_unit(wi, "weight") for wi in weights)
+    if not w:
+        raise WeightSumInvalid("at least one weight is required")
+    total = math.fsum(w)
+    if abs(total - 1.0) > TOL_SUM:
+        raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
     if len(points) != len(w):
         raise LengthMismatch(f"{len(points)} points but {len(w)} weights")
     return w, [ms.evaluate(x, level) for x in points]
@@ -538,7 +543,7 @@ def _grades_at(
 def jensen_check(
     ms: PictureFuzzyMultiset,
     points: Sequence[float],
-    weights: WeightVector | Sequence[float],
+    weights: Sequence[float],
     level: int,
 ) -> JensenReport:
     """Evaluate the weighted-point inequalities at one level.
@@ -613,7 +618,7 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
 def hull_membership_test(
     ms: PictureFuzzyMultiset,
     points: Sequence[float],
-    weights: WeightVector | Sequence[float],
+    weights: Sequence[float],
     level: int,
 ) -> GradeTriple:
     """Grade-side convex combination of the values at several points.

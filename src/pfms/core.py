@@ -194,14 +194,6 @@ class GradeTriple:
         _set_neutral(self, n)
         _set_negative(self, g)
 
-    @property
-    def refusal(self) -> float:
-        """Degree left over after the three explicit channels."""
-        rest = 1.0 - (self.positive + self.neutral + self.negative)
-        if -TOL_SUM <= rest < 0.0:
-            return 0.0
-        return rest
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.positive, self.neutral, self.negative)
 
@@ -602,9 +594,8 @@ def multiset_from_values(
 class CutThresholds:
     """Threshold triple for a cut: positive >= r, neutral >= s, negative <= t.
 
-    The side condition r + s + t <= 1 from the usual presentation is
-    recorded as a predicate, not enforced: cuts are well defined for any
-    unit-interval thresholds.
+    The side condition r + s + t <= 1 from the usual presentation is not
+    enforced: cuts are well defined for any unit-interval thresholds.
     """
 
     r: float
@@ -615,13 +606,6 @@ class CutThresholds:
         object.__setattr__(self, "r", check_unit(self.r, "r"))
         object.__setattr__(self, "s", check_unit(self.s, "s"))
         object.__setattr__(self, "t", check_unit(self.t, "t"))
-
-    @property
-    def within_sum_convention(self) -> bool:
-        return self.r + self.s + self.t <= 1.0 + TOL_SUM
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.r, self.s, self.t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -635,7 +619,8 @@ class CutRegion:
     def __post_init__(self) -> None:
         raw = []
         lo, hi = -math.inf, math.inf
-        for pair in self.intervals:
+        intervals = self.intervals  # a number or None reads as one interval
+        for pair in intervals if np.iterable(intervals) else [intervals]:
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -660,20 +645,9 @@ class CutRegion:
         object.__setattr__(self, "intervals", tuple(merged))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
     def is_convex(self) -> bool:
         """Empty or a single closed interval."""
         return len(self.intervals) <= 1
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
-
-    def contains(self, x: float) -> bool:
-        return any(a <= x <= b for a, b in self.intervals)
 
     def intersect(self, other: "CutRegion") -> "CutRegion":
         out: list[tuple[float, float]] = []

@@ -44,6 +44,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     _check_levels,
+    _is_real,
     _shown,
     first_invalid_point,
     real_array,
@@ -72,7 +73,7 @@ class SchemaError(PfmsError):
 
 
 def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise SchemaError(path, f"expected a number, got {value!r}")
     try:
         return float(value)

@@ -64,7 +64,8 @@ class UnknownSuite(PfmsError):
 
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
 _MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
-_MAX_ORACLE_CELLS = 4_000_000  # largest resolution**2 * lambda_resolution the oracle accepts
+_ORACLE_POINTS, _ORACLE_WEIGHTS = 41, 21  # oracle_convexity's lattice and weights k/20
+_ORACLE_STEP = 0.05  # the value lattice of oracle_hull's instances
 _MAX_TRIALS = 100_000  # largest trial count run_suite accepts
 
 
@@ -301,37 +302,26 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
 # oracles
 
 
-def oracle_convexity(
-    ms: PictureFuzzyMultiset,
-    resolution: int = 41,
-    lambda_resolution: int = 21,
-) -> bool:
+def oracle_convexity(ms: PictureFuzzyMultiset) -> bool:
     """Brute-force the segment inequalities on a uniform coordinate lattice.
 
-    Checks every pair of lattice coordinates against every blend weight
-    on a uniform lambda grid, all channels and levels, using numpy's
-    interpolation rather than the package evaluator.  With the lattice
-    lo + i*h and weights k/K, the blend of points i and j at weight k/K is
-    point (K - k)*i + k*j of the K times finer lattice (K = 2 for the
-    single weight 1/2), so each channel is interpolated once on that finer
-    lattice and every blend and lattice value is gathered from it by
-    index."""
-    if resolution < 2 or lambda_resolution < 1:
-        raise BadConfig("oracle needs resolution >= 2 and lambda_resolution >= 1")
-    if resolution * resolution * lambda_resolution > _MAX_ORACLE_CELLS:
-        raise TooLarge(f"oracle lattice exceeds {_MAX_ORACLE_CELLS} points")
+    Checks every pair of _ORACLE_POINTS lattice coordinates against every
+    blend weight on a uniform grid of _ORACLE_WEIGHTS weights, all
+    channels and levels, using numpy's interpolation rather than the
+    package evaluator.  With the lattice lo + i*h and weights k/K, the
+    blend of points i and j at weight k/K is point (K - k)*i + k*j of the
+    K times finer lattice, so each channel is interpolated once on that
+    finer lattice and every blend and lattice value is gathered from it
+    by index."""
     if ms.size == 1:
         return True
     xs = np.asarray(ms.grid.points)
-    if lambda_resolution == 1:
-        steps, ks = 2, np.array([1])
-    else:
-        steps, ks = lambda_resolution - 1, np.arange(lambda_resolution)
-    fine = np.linspace(ms.grid.lo, ms.grid.hi, (resolution - 1) * steps + 1)
+    steps, ks = _ORACLE_WEIGHTS - 1, np.arange(_ORACLE_WEIGHTS)
+    fine = np.linspace(ms.grid.lo, ms.grid.hi, (_ORACLE_POINTS - 1) * steps + 1)
     # blend[k, p] is the fine index (K - k)*i + k*j of the blend of pair
     # p = (i, j), i < j, at weight k/K: j and i at weight 1 - k/K give the
     # same index, and a point blended with itself is itself
-    i, j = np.triu_indices(resolution, 1)
+    i, j = np.triu_indices(_ORACLE_POINTS, 1)
     blend = (steps - ks)[:, None] * i + ks[:, None] * j
     for level in range(1, ms.depth + 1):
         for channel, upper in (
@@ -465,25 +455,21 @@ def _least_unimodal_by_search(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(reversed(least))
 
 
-def oracle_hull(ms: PictureFuzzyMultiset, step: float = 0.05) -> GradeField:
-    """Brute-force hull for small lattice-valued instances.
+def oracle_hull(ms: PictureFuzzyMultiset) -> GradeField:
+    """Brute-force hull for small instances on the _ORACLE_STEP lattice.
 
     Searches every unimodal majorant (and, mirrored, every anti-unimodal
     minorant) over the input's own values, node by node, instead of using
-    the envelope construction.  Refuses grids beyond seven points or steps
-    below 0.05."""
+    the envelope construction.  Refuses grids beyond seven points and
+    values off the lattice."""
     if ms.size > 7:
         raise TooLarge(f"oracle handles at most 7 grid points, got {ms.size}")
-    if step < 0.05 - 1e-12 or step > 1.0:
-        raise TooLarge(
-            f"oracle handles lattice steps in [0.05, 1], got {_shown(step)}"
-        )
     for level in range(1, ms.depth + 1):
         for channel in CHANNELS:
             for v in ms.channel_nodes(channel, level):
-                if abs(v - round(v / step) * step) > 1e-9:
+                if abs(v - round(v / _ORACLE_STEP) * _ORACLE_STEP) > 1e-9:
                     raise BadConfig(
-                        f"{channel} value {v!r} is not a multiple of {step!r}"
+                        f"{channel} value {v!r} is not a multiple of {_ORACLE_STEP!r}"
                     )
     per_level = []
     for level in range(1, ms.depth + 1):
@@ -603,7 +589,7 @@ def _suite_oracle_equivalence(idx: int, sub: int) -> Iterator[_Failure]:
     if not convex:
         ms = plant_dip(ms, seed=sub ^ 0x5BD1E995)
     exact = is_convex_exact(ms).convex
-    brute = oracle_convexity(ms, 41, 21)
+    brute = oracle_convexity(ms)
     if exact != brute:
         yield "checker-oracle-mismatch", cfg, {
             "instance": instance_document(ms),
@@ -760,7 +746,7 @@ def _suite_hull_properties(idx: int, sub: int) -> Iterator[_Failure]:
     )
     ms = gen_pfms(cfg)
     field = convex_hull(ms)
-    if not odd and field != oracle_hull(ms, 0.05):
+    if not odd and field != oracle_hull(ms):
         yield "hull-oracle-mismatch", cfg, {"instance": instance_document(ms)}
         return
     if odd:

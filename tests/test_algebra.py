@@ -10,8 +10,6 @@ from pfms import (
     LengthMismatch,
     PositiveOrderViolation,
     TOL_SUM,
-    WeightSumInvalid,
-    WeightVector,
     complement,
     convex_combination,
     convex_hull,
@@ -33,25 +31,6 @@ def single(*triple):
 
 def triple_at(ms, node=0, level=1):
     return tuple(ms.values[node, level - 1].tolist())
-
-
-class TestWeights:
-    def test_weight_vector_valid(self):
-        w = WeightVector.of([0.25, 0.25, 0.5])
-        assert len(w) == 3 and w[2] == 0.5
-        assert WeightVector.of(w) is w
-
-    def test_weight_vector_sum_enforced(self):
-        with pytest.raises(WeightSumInvalid):
-            WeightVector((0.5, 0.4))
-        with pytest.raises(WeightSumInvalid):
-            WeightVector(())
-
-    def test_weight_vector_component_range(self):
-        from pfms import OutOfUnitInterval
-
-        with pytest.raises(OutOfUnitInterval):
-            WeightVector((1.5, -0.5))
 
 
 class TestIncludes:

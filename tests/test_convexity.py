@@ -16,8 +16,11 @@ from pfms import (
     CutRegion,
     CutThresholds,
     InvalidGrid,
+    LengthMismatch,
     OutOfDomain,
+    OutOfUnitInterval,
     PfmsError,
+    PictureFuzzyMultiset,
     SumExceedsOne,
     TooLarge,
     WeightSumInvalid,
@@ -755,7 +758,6 @@ class TestCutDifferential:
 class TestCut:
     def test_worked_example(self, convex_ms):
         region = cut(convex_ms, CutThresholds(0.4, 0.15, 0.2), 1)
-        assert region.count == 1
         (a, b), = region.intervals
         assert a == pytest.approx(0.75, **APPROX)
         assert b == pytest.approx(4.0 / 3.0, **APPROX)
@@ -765,11 +767,10 @@ class TestCut:
         assert region.intervals == ((0.0, 2.0),)
 
     def test_infeasible_positive_threshold(self, convex_ms):
-        assert cut(convex_ms, (0.7, 0.0, 1.0), 1).is_empty
+        assert cut(convex_ms, (0.7, 0.0, 1.0), 1).intervals == ()
 
     def test_bimodal_split(self, bimodal_ms):
         region = cut(bimodal_ms, (0.5, 0.0, 1.0), 1)
-        assert region.count == 2
         (a1, b1), (a2, b2) = region.intervals
         assert a1 == 0.0 and b1 == pytest.approx(0.2, **APPROX)
         assert (a2, b2) == (2.0, 2.0)
@@ -777,11 +778,30 @@ class TestCut:
     def test_single_node_grid(self):
         ms = positive_only((1.5,), [0.5])
         assert cut(ms, (0.4, 0.0, 1.0), 1).intervals == ((1.5, 1.5),)
-        assert cut(ms, (0.6, 0.0, 1.0), 1).is_empty
+        assert cut(ms, (0.6, 0.0, 1.0), 1).intervals == ()
 
     def test_bad_level(self, convex_ms):
         with pytest.raises(BadLevel):
             cut(convex_ms, (0.1, 0.1, 0.9), 2)
+
+    @pytest.mark.parametrize("thresholds, error, message", [
+        ((0.1, 0.2), LengthMismatch, "thresholds must be three values (r, s, t), got 2"),
+        ((0.1, 0.2, 0.3, 0.4), LengthMismatch,
+         "thresholds must be three values (r, s, t), got 4"),
+        # a number or None is one value, as a level's is
+        (5, LengthMismatch, "thresholds must be three values (r, s, t), got 1"),
+        (None, LengthMismatch, "thresholds must be three values (r, s, t), got 1"),
+        # three items reach CutThresholds, which checks each
+        ("abc", OutOfUnitInterval, "r must be a real number, got 'a'"),
+    ])
+    def test_thresholds_must_be_three_values(self, convex_ms, thresholds, error, message):
+        with pytest.raises(error) as refused:
+            cut(convex_ms, thresholds, 1)
+        assert str(refused.value) == message
+
+    def test_three_thresholds_from_an_iterator(self, convex_ms):
+        thresholds = (0.1, 0.1, 0.9)
+        assert cut(convex_ms, iter(thresholds), 1) == cut(convex_ms, thresholds, 1)
 
     def test_threshold_monotonicity(self, convex_ms, bimodal_ms):
         for ms in (convex_ms, bimodal_ms):
@@ -799,9 +819,9 @@ class TestCutsAllConvex:
         report = cuts_all_convex(bimodal_ms)
         assert not report.convex
         w = report.witness
-        assert w.thresholds.as_tuple() == (0.5, 0.0, 1.0)
+        assert w.thresholds == CutThresholds(0.5, 0.0, 1.0)
         assert w.level == 1
-        assert w.region.count == 2
+        assert len(w.region.intervals) == 2
 
     def test_positive_only_reduces_to_unimodality(self):
         # depth-1 instances with only a positive channel: cut convexity
@@ -816,6 +836,9 @@ class TestCutsAllConvex:
     def test_matches_exact_checker_on_fixtures(self, convex_ms, bimodal_ms, deep_ms):
         for ms in (convex_ms, bimodal_ms, deep_ms):
             assert cuts_all_convex(ms).convex == is_convex_exact(ms).convex
+
+
+_NO_WEIGHTS = "WeightSumInvalid: at least one weight is required"
 
 
 class TestJensen:
@@ -843,6 +866,29 @@ class TestJensen:
             jensen_check(convex_ms, [0.0, 2.0], [0.5, 0.6], 1)
         with pytest.raises(OutOfDomain):
             jensen_check(convex_ms, [0.0, 5.0], [0.5, 0.5], 1)
+
+    @pytest.mark.parametrize("check", [jensen_check, hull_membership_test],
+                             ids=["jensen", "membership"])
+    @pytest.mark.parametrize("points, weights, outcome", [
+        # the weights are checked before they are counted against the points
+        pytest.param([], lambda: [], _NO_WEIGHTS, id="no-points"),
+        pytest.param([0.0, 2.0], lambda: [], _NO_WEIGHTS, id="two-points"),
+        pytest.param([0.0, 2.0], lambda: [1.5, -0.5],
+                     "OutOfUnitInterval: weight must lie in [0, 1], got 1.5", id="above-one"),
+        pytest.param([0.0, 2.0], lambda: [10**400, 0.0],
+                     "OutOfUnitInterval: weight must lie in [0, 1], got inf", id="huge-int"),
+        # accepted forms give what the float weights in ``outcome`` give
+        pytest.param([1.0], lambda: [1], [1.0], id="int"),
+        pytest.param([0.0, 2.0], lambda: (w for w in (0.25, 0.75)), [0.25, 0.75],
+                     id="generator"),
+    ])
+    def test_weights(self, convex_ms, check, points, weights, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(PfmsError) as refused:
+                check(convex_ms, points, weights(), 1)
+            assert f"{type(refused.value).__name__}: {refused.value}" == outcome
+        else:
+            assert check(convex_ms, points, weights(), 1) == check(convex_ms, points, outcome, 1)
 
 
     @pytest.mark.parametrize("points, end", [([0.0, 50.0, 100.0], 100.0),
@@ -910,7 +956,7 @@ class TestConvexHull:
 
     def test_hull_is_idempotent_via_roundtrip(self, bimodal_ms):
         once = convex_hull(bimodal_ms)
-        twice = convex_hull(once.to_multiset())
+        twice = convex_hull(PictureFuzzyMultiset(once.grid, once.values))
         assert once == twice
 
     def test_sum_break_flagged_not_repaired(self):
@@ -924,7 +970,7 @@ class TestConvexHull:
         assert field.valid == ((True,), (False,), (True,))
         assert not field.fully_valid
         with pytest.raises(SumExceedsOne):
-            field.to_multiset()
+            PictureFuzzyMultiset(field.grid, field.values)
 
     @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
     def test_windowed_hull_with_invalid_triples_round_trips(self, how):

@@ -153,28 +153,13 @@ class TestOracleConvexity:
         assert oracle_convexity(convex_ms)
         assert not oracle_convexity(bimodal_ms)
 
-    def test_constant_any_resolution(self):
+    def test_constant_instance(self):
         ms = multiset_from_values((0.0, 1.0, 2.0), [[[0.3, 0.2, 0.1]]] * 3)
-        assert oracle_convexity(ms, 5, 3)
-        assert oracle_convexity(ms, 41, 21)
+        assert oracle_convexity(ms)
 
     def test_single_point(self):
         ms = multiset_from_values((0.0,), [[[0.3, 0.2, 0.1]]])
         assert oracle_convexity(ms)
-
-    def test_resolution_validation(self, convex_ms):
-        with pytest.raises(BadConfig):
-            oracle_convexity(convex_ms, 1, 21)
-        with pytest.raises(BadConfig):
-            oracle_convexity(convex_ms, 41, 0)
-
-    def test_lattice_size_refused_before_allocation(self, convex_ms):
-        # 10**5 squared times 21 cells would need terabytes; the check
-        # must fire before any array exists, so this returns at once
-        with pytest.raises(TooLarge, match="oracle lattice"):
-            oracle_convexity(convex_ms, 100_000, 21)
-        with pytest.raises(TooLarge):
-            oracle_convexity(convex_ms, 2_001, 1)
 
 
 class TestOracleHull:
@@ -183,11 +168,11 @@ class TestOracleHull:
             (0.0, 1.0, 2.0),
             [[[0.6, 0.0, 0.0]], [[0.1, 0.0, 0.0]], [[0.5, 0.0, 0.0]]],
         )
-        field = oracle_hull(ms, 0.05)
+        field = oracle_hull(ms)
         assert field.channel_nodes("positive", 1) == (0.6, 0.5, 0.5)
 
     def test_identity_on_well_shaped_channels(self, convex_ms):
-        field = oracle_hull(convex_ms, 0.05)
+        field = oracle_hull(convex_ms)
         for i in range(convex_ms.size):
             assert tuple(field.values[i][0]) == tuple(convex_ms.values[i, 0].tolist())
 
@@ -201,19 +186,21 @@ class TestOracleHull:
                     value_lattice=0.05,
                 )
             )
-            assert oracle_hull(ms, 0.05) == convex_hull(ms)
+            assert oracle_hull(ms) == convex_hull(ms)
 
     def test_size_and_step_gates(self):
         big = gen_pfms(GeneratorConfig(seed=1, grid_size=8, depth=1, value_lattice=0.05))
-        with pytest.raises(TooLarge):
-            oracle_hull(big, 0.05)
-        small = gen_pfms(GeneratorConfig(seed=1, grid_size=4, depth=1, value_lattice=0.05))
-        with pytest.raises(TooLarge):
-            oracle_hull(small, 0.01)
+        with pytest.raises(TooLarge, match="^oracle handles at most 7 grid points, got 8$"):
+            oracle_hull(big)
+        # the step is 0.05: an instance on a finer lattice is refused
+        small = gen_pfms(GeneratorConfig(seed=1, grid_size=4, depth=1, value_lattice=0.01))
+        with pytest.raises(BadConfig, match="^positive value 0.08 is not a multiple of 0.05$"):
+            oracle_hull(small)
 
-    def test_off_lattice_values_rejected(self, convex_ms):
-        with pytest.raises(BadConfig):
-            oracle_hull(convex_ms, 0.3)
+    def test_off_lattice_values_rejected(self):
+        ms = multiset_from_values((0.0, 1.0), [[[0.2, 0.1, 0.1]], [[0.33, 0.1, 0.1]]])
+        with pytest.raises(BadConfig, match=r"^positive value 0\.33 is not a multiple of 0\.05$"):
+            oracle_hull(ms)
 
 
 class TestCutScan:
@@ -312,7 +299,7 @@ class TestHullGapFixture:
         assert field.channel_at("positive", level, z) == pytest.approx(0.5, abs=1e-12)
 
 
-def _zero_hull(ms, *args):
+def _zero_hull(ms):
     return GradeField.from_envelopes(ms.grid, np.zeros_like(ms.values))
 
 
@@ -328,7 +315,7 @@ _cuts, _oracle = pfms.lab.cuts_all_convex, pfms.lab.oracle_convexity
 # patches of pfms.lab that force each failure kind of its suites
 _FORCINGS = {
     "flip-cuts": {"cuts_all_convex": lambda ms: CutConvexityReport(not _cuts(ms).convex)},
-    "flip-oracle": {"oracle_convexity": lambda ms, *a: not _oracle(ms, *a)},
+    "flip-oracle": {"oracle_convexity": lambda ms: not _oracle(ms)},
     "not-convex": {"is_convex_exact": lambda ms: _NOT_CONVEX},
     "jensen-fails": {"jensen_check": lambda *a: _JENSEN_FAILS},
     "zero-hull": {"convex_hull": _zero_hull},

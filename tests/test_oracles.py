@@ -24,16 +24,14 @@ from pfms.lab import _hull_law_violation, _least_unimodal_by_search
 from pfms.convexity import GradeField
 
 
-def reference_oracle_convexity(ms, resolution=41, lambda_resolution=21):
-    """Every blended coordinate of every lattice pair, interpolated."""
+def reference_oracle_convexity(ms):
+    """Every blended coordinate of every pair of a 41-point lattice, at 21
+    weights, interpolated."""
     if ms.size == 1:
         return True
     xs = np.asarray(ms.grid.points)
-    lattice = np.linspace(ms.grid.lo, ms.grid.hi, resolution)
-    if lambda_resolution == 1:
-        lams = np.array([0.5])
-    else:
-        lams = np.linspace(0.0, 1.0, lambda_resolution)
+    lattice = np.linspace(ms.grid.lo, ms.grid.hi, 41)
+    lams = np.linspace(0.0, 1.0, 21)
     blend = (1.0 - lams[None, None, :]) * lattice[:, None, None] + lams[
         None, None, :
     ] * lattice[None, :, None]
@@ -155,45 +153,34 @@ def band_instances(draw):
     return multiset_from_values(grid, table)
 
 
-_RESOLUTIONS = st.tuples(
-    st.sampled_from([2, 3, 5, 9, 17, 41]), st.sampled_from([1, 2, 3, 5, 21])
-)
-
-
 class TestOracleConvexityMatchesReference:
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(band_instances(), _RESOLUTIONS)
-    def test_band_instances(self, ms, resolution):
-        assert oracle_convexity(ms, *resolution) == reference_oracle_convexity(
-            ms, *resolution
-        )
+    @given(band_instances())
+    def test_band_instances(self, ms):
+        assert oracle_convexity(ms) == reference_oracle_convexity(ms)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32),
         st.integers(min_value=1, max_value=7),
         st.booleans(),
-        _RESOLUTIONS,
     )
-    def test_generated_instances(self, seed, m, convex, resolution):
+    def test_generated_instances(self, seed, m, convex):
         ms = gen_pfms(
             GeneratorConfig(
                 seed=seed, grid_size=m, depth=1 + seed % 3, convex_only=convex
             )
         )
-        assert oracle_convexity(ms, *resolution) == reference_oracle_convexity(
-            ms, *resolution
-        )
+        assert oracle_convexity(ms) == reference_oracle_convexity(ms)
 
     @pytest.mark.parametrize("dip", _DIPS)
-    @pytest.mark.parametrize("lambda_resolution", [1, 21])
-    def test_dip_on_the_node_between_unit_flanks(self, dip, lambda_resolution):
+    def test_dip_on_the_node_between_unit_flanks(self, dip):
         ms = multiset_from_values(
             (0.0, 1.0, 2.0),
             [[[0.5, 0.1, 0.1]], [[0.5 - dip * TOL_CMP, 0.1, 0.1]], [[0.5, 0.1, 0.1]]],
         )
-        verdict = oracle_convexity(ms, 41, lambda_resolution)
-        assert verdict == reference_oracle_convexity(ms, 41, lambda_resolution)
+        verdict = oracle_convexity(ms)
+        assert verdict == reference_oracle_convexity(ms)
         assert verdict == (dip * TOL_CMP <= TOL_CMP)
 
 
@@ -227,7 +214,7 @@ class TestOracleHullMatchesReference:
                 seed=seed, grid_size=m, depth=1 + seed % 3, value_lattice=0.05
             )
         )
-        field = oracle_hull(ms, 0.05)
+        field = oracle_hull(ms)
         per_level = []
         for level in range(1, ms.depth + 1):
             pos = reference_least_unimodal(ms.channel_nodes("positive", level))
