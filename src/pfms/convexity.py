@@ -13,10 +13,11 @@ The exact check and the hull share one scan body.  They read one least
 unimodal majorant per (level, channel) row, the smaller of the two
 running maxima of the row signed by CHANNEL_SIGNS, so that every channel
 is quasi-concave when convex: a node dips where the majorant exceeds it
-by more than TOL_CMP, and the hull is the majorants signed back.  Which
-rows are scanned, and over which window of nodes, is the only thing that
-depends on size (_scan_rows).  Instances below _ROW_TEST_TRIPLES triples
-scan every row over every node.  On larger ones most rows need no scan:
+by more than TOL_CMP, and the hull is the majorants of the rows that dip,
+signed back, every other row being its own hull.  Which rows are
+scanned, and over which window of nodes, is the only thing that depends
+on size (_scan_rows).  Instances below _ROW_TEST_TRIPLES triples scan
+every row over every node.  On larger ones most rows need no scan:
 a row in which no strict rise follows a strict fall is unimodal, so it
 has no dip and is its own least unimodal majorant, bit for bit (see
 _dipping_rows).  One pass of comparisons in the stored (points, levels,
@@ -28,11 +29,11 @@ the bits of a whole-row scan there, and no node outside the window dips.
 The scanned rows are gathered over the window into one contiguous signed
 copy.  The exact check reads its verdicts off it and shifts its witness
 by the window's start; an instance with no row to scan is convex and its
-own hull.  The hull copies the grade array once and writes the envelopes
-over the window; a hull works out its sum flags from its envelopes when
-they are read.  Each row sees the operations of a scan down the points
-axis in the same order, so results are bit-identical to one, ties
-between 0.0 and -0.0 included.
+own hull.  The hull copies the grade array once, if some row dips, and
+writes the envelopes of the rows that dip over the window; a hull works
+out its sum flags from its envelopes when they are read.  Each row sees
+the operations of a scan down the points axis in the same order, so
+results are bit-identical to one, ties between 0.0 and -0.0 included.
 
 A cut solves a crossing only on the segments where its boundary crosses,
 so a region is the runs of nodes inside it, each widened to its
@@ -77,6 +78,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _items,
     _shown,
     _within_sum,
     channel_index,
@@ -504,8 +506,7 @@ def cut(
     endpoints solved on the segments the cut's boundary crosses.
     Thresholds other than a CutThresholds must be three values (r, s, t)."""
     if not isinstance(thresholds, CutThresholds):
-        # a number or None counts as one value, as a level's does
-        values = tuple(thresholds) if np.iterable(thresholds) else (thresholds,)
+        values = _items(thresholds)  # a number or None counts as one value
         if len(values) != 3:
             raise LengthMismatch(f"thresholds must be three values (r, s, t), got {len(values)}")
         thresholds = CutThresholds(*values)
@@ -526,18 +527,21 @@ def _grades_at(
     points: Sequence[float],
     weights: Sequence[float],
     level: int,
-) -> tuple[tuple[float, ...], list[GradeTriple]]:
-    """Validated weights, one scalar per point for every channel, and the
-    grades at ``points``; the weights are checked before they are counted."""
+) -> tuple[tuple[float, ...], tuple, list[GradeTriple]]:
+    """Validated weights, one scalar per point for every channel, the
+    points as a tuple and the grades at them.  The weights are checked
+    before the points are read, as core reads items: a number or None
+    counts as one point."""
     w = tuple(check_unit(wi, "weight") for wi in weights)
     if not w:
         raise WeightSumInvalid("at least one weight is required")
     total = math.fsum(w)
     if abs(total - 1.0) > TOL_SUM:
         raise WeightSumInvalid(f"weights sum to {total!r}, expected 1")
+    points = _items(points)
     if len(points) != len(w):
         raise LengthMismatch(f"{len(points)} points but {len(w)} weights")
-    return w, [ms.evaluate(x, level) for x in points]
+    return w, points, [ms.evaluate(x, level) for x in points]
 
 
 def jensen_check(
@@ -552,7 +556,7 @@ def jensen_check(
     and neutral endpoint grades and stay within the largest negative one.
     Slacks are returned per channel; all slacks >= -TOL_CMP counts as a
     pass."""
-    w, grades = _grades_at(ms, points, weights, level)
+    w, points, grades = _grades_at(ms, points, weights, level)
     try:
         z = math.fsum(wi * xi for wi, xi in zip(w, points))
     except OverflowError:  # a partial sum left the float range: sum halves
@@ -597,22 +601,26 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     least unimodal majorants and the negative channel by its greatest
     anti-unimodal minorant.  The three envelopes are computed
     independently, so a node's sum bound can break; such nodes are
-    flagged invalid rather than repaired.
+    flagged invalid rather than repaired.  As the exact check counts only
+    dips deeper than TOL_CMP, a row with no node more than TOL_CMP below
+    its envelope is its own hull, bit for bit.
 
-    The grade array is copied once and only the rows of _scan_rows are
-    rewritten, over its window only, as every row is its own envelope
-    elsewhere."""
+    Of the rows of _scan_rows only those that dip are rewritten, over its
+    window only, as every row is its own hull elsewhere; the grade array
+    is copied once, and not at all when no row dips."""
     rows, win = _scan_rows(ms.values)
-    if not rows.size:
-        return GradeField(ms.grid, ms.values)
-    hull = np.array(ms.values)
-    flat = hull.reshape(ms.size, -1)
-    signs = _row_signs(rows)
-    envelopes = _majorant(_signed_rows(flat[win], rows, signs))
-    envelopes *= signs
-    flat[win, rows] = envelopes.T
-    hull.setflags(write=False)
-    return GradeField(ms.grid, hull)
+    if rows.size:
+        signs = _row_signs(rows)
+        signed = _signed_rows(ms.values.reshape(ms.size, -1)[win], rows, signs)
+        envelopes = _majorant(signed)
+        deep = (envelopes - signed > TOL_CMP).any(axis=-1)
+        if deep.any():
+            hull = np.array(ms.values)
+            envelopes *= signs
+            hull.reshape(ms.size, -1)[win, rows[deep]] = envelopes[deep].T
+            hull.setflags(write=False)
+            return GradeField(ms.grid, hull)
+    return GradeField(ms.grid, ms.values)
 
 
 def hull_membership_test(
@@ -626,7 +634,7 @@ def hull_membership_test(
     Returns the weighted channel-wise blend of the evaluated grades; the
     caller compares it against the hull field at the weighted coordinate.
     """
-    w, grades = _grades_at(ms, points, weights, level)
+    w, _, grades = _grades_at(ms, points, weights, level)
     return GradeTriple(
         math.fsum(wi * g.positive for wi, g in zip(w, grades)),
         math.fsum(wi * g.neutral for wi, g in zip(w, grades)),

@@ -142,6 +142,12 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _items(value) -> tuple:
+    """The items of ``value`` as a tuple; a number or None, which is not
+    iterable, counts as one item."""
+    return tuple(value) if np.iterable(value) else (value,)
+
+
 def check_unit(value: float, label: str = "value") -> float:
     """Validate that ``value`` lies in [0, 1] up to rounding slack.
 
@@ -339,8 +345,8 @@ def _point_triples(per_point) -> list[GradeTriple]:
     if isinstance(per_point, np.ndarray):
         per_point = per_point.tolist()
     triples = []
-    for k, level in enumerate(per_point if np.iterable(per_point) else [per_point], 1):
-        level = tuple(level) if np.iterable(level) else (level,)
+    for k, level in enumerate(_items(per_point), 1):
+        level = _items(level)
         if len(level) != 3:
             raise LengthMismatch(
                 f"level {k} must be three values (positive, neutral, negative), "
@@ -619,8 +625,7 @@ class CutRegion:
     def __post_init__(self) -> None:
         raw = []
         lo, hi = -math.inf, math.inf
-        intervals = self.intervals  # a number or None reads as one interval
-        for pair in intervals if np.iterable(intervals) else [intervals]:
+        for pair in _items(self.intervals):
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -643,11 +648,6 @@ class CutRegion:
             else:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
-
-    @property
-    def is_convex(self) -> bool:
-        """Empty or a single closed interval."""
-        return len(self.intervals) <= 1
 
     def intersect(self, other: "CutRegion") -> "CutRegion":
         out: list[tuple[float, float]] = []

@@ -34,8 +34,6 @@ import numpy as np
 from .core import (
     CHANNELS,
     TOL_CMP,
-    CutRegion,
-    CutThresholds,
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
@@ -366,59 +364,43 @@ def _upper_region(
     return pieces
 
 
-@dataclass(frozen=True, slots=True)
-class CutWitness:
-    """Thresholds and level whose cut fell apart into several intervals."""
-
-    thresholds: CutThresholds
-    level: int
-    region: CutRegion
+def _gap_inside(pieces: list[tuple[float, float]], lo: float, hi: float) -> bool:
+    """Whether two consecutive pieces, sorted and with nondecreasing ends,
+    leave a gap inside [lo, hi]."""
+    return any(lo <= end < start <= hi for (_, end), (start, _) in zip(pieces, pieces[1:]))
 
 
-@dataclass(frozen=True, slots=True)
-class CutConvexityReport:
-    convex: bool
-    witness: CutWitness | None = None
-
-
-def cuts_all_convex(ms: PictureFuzzyMultiset) -> CutConvexityReport:
+def cuts_all_convex(ms: PictureFuzzyMultiset) -> bool:
     """Whether every threshold cut, at every level, is a single interval.
 
     Piecewise-linear channels only change the shape of a cut at node
-    values, so scanning the node values (plus 0 and 1) per channel covers
-    all thresholds.  Full threshold triples reduce to one active channel:
+    values, so the cuts at the node values of each channel cover all
+    thresholds.  Full threshold triples reduce to one active channel:
     intervals are closed under intersection, so some triple yields a
-    disconnected cut exactly when some single channel does, and the
-    reported witness fixes the other two thresholds at their slack values
-    (0 for the lower bounds, 1 for the upper one).  The scan solves one
-    cut per node value, quadratic in the grid size, so grids beyond the
-    generators' own limit of 64 points are refused."""
+    disconnected cut exactly when some single channel does.  A cut at
+    ``u`` falls apart where one of its pieces starts after the previous
+    one ends; as every decider does, the split counts only when the cut
+    at ``u - TOL_CMP`` leaves a gap between the first and the last piece
+    too, that is when some node dips more than TOL_CMP below both flanks.
+    The scan solves one cut per node value, quadratic in the grid size,
+    so grids beyond the generators' own limit of 64 points are refused."""
     if ms.size > _MAX_GRID_SIZE:
         raise TooLarge(
             f"cut scan handles at most {_MAX_GRID_SIZE} grid points, got {ms.size}"
         )
     xs = ms.grid.points
-    for level in range(1, ms.depth + 1):
-        scans = (  # the negative channel's lower cuts are upper cuts of -v
-            ("positive", 1.0, lambda v: CutThresholds(v, 0.0, 1.0)),
-            ("neutral", 1.0, lambda v: CutThresholds(0.0, v, 1.0)),
-            ("negative", -1.0, lambda v: CutThresholds(0.0, 0.0, v)),
-        )
-        for channel, sign, to_thresholds in scans:
-            nodes = ms.channel_nodes(channel, level)
+    for rows in ms.values.transpose(1, 2, 0).tolist():  # level by level
+        # the negative channel's lower cuts are upper cuts of -v
+        for sign, nodes in zip((1.0, 1.0, -1.0), rows):
             signed = [sign * v for v in nodes]
-            for value in sorted(set(nodes) | {0.0, 1.0}):
-                region = CutRegion(tuple(_upper_region(xs, signed, sign * value)))
-                if not region.is_convex:
-                    return CutConvexityReport(
-                        convex=False,
-                        witness=CutWitness(
-                            thresholds=to_thresholds(value),
-                            level=level,
-                            region=region,
-                        ),
-                    )
-    return CutConvexityReport(convex=True)
+            for u in set(signed):
+                pieces = _upper_region(xs, signed, u)
+                lo, hi = pieces[0][0], pieces[-1][1]
+                if _gap_inside(pieces, lo, hi) and _gap_inside(
+                    _upper_region(xs, signed, u - TOL_CMP), lo, hi
+                ):
+                    return False
+    return True
 
 
 def _least_unimodal_by_search(values: Sequence[float]) -> tuple[float, ...]:
@@ -561,11 +543,11 @@ def _suite_cut_equivalence(idx: int, sub: int) -> Iterator[_Failure]:
         ms = plant_dip(ms, seed=sub + 1)
     exact = is_convex_exact(ms)
     scan = cuts_all_convex(ms)
-    if exact.convex != scan.convex:
+    if exact.convex != scan:
         yield "cut-equivalence-mismatch", cfg, {
             "instance": instance_document(ms),
             "exact_convex": exact.convex,
-            "cuts_convex": scan.convex,
+            "cuts_convex": scan,
             "witness": exact.witness and exact.witness.to_dict(),
         }
 
@@ -701,14 +683,19 @@ def _suite_jensen(idx: int, sub: int) -> Iterator[_Failure]:
         }
 
 
-def _rises_after_falling(values: Sequence[float]) -> bool:
-    """Whether a strict rise follows a strict fall: not unimodal."""
-    fallen = False
-    for a, b in zip(values, values[1:]):
-        if b < a:
-            fallen = True
-        elif b > a and fallen:
-            return True
+def _dips(values: Sequence[float]) -> bool:
+    """Whether some node sits more than TOL_CMP below the running maximum
+    on each side of it: not unimodal, up to TOL_CMP as every decider
+    counts a dip.  Before the first peak the running maximum from the
+    right is the peak's value, so the one from the left is the smaller
+    there, and after it the one from the right."""
+    peak = values.index(max(values))
+    for side in (values[:peak], values[:peak:-1]):
+        top = -math.inf
+        for v in side:
+            if top - v > TOL_CMP:
+                return True
+            top = max(top, v)
     return False
 
 
@@ -722,12 +709,12 @@ def _hull_law_violation(
             if channel == "negative":
                 if any(h > v for h, v in zip(hull, original)):
                     return f"negative hull above input at level {level}"
-                if _rises_after_falling([-h for h in hull]):
+                if _dips([-h for h in hull]):
                     return f"negative hull not anti-unimodal/idempotent at level {level}"
             else:
                 if any(h < v for h, v in zip(hull, original)):
                     return f"{channel} hull below input at level {level}"
-                if _rises_after_falling(hull):
+                if _dips(hull):
                     return f"{channel} hull not unimodal/idempotent at level {level}"
     return None
 
@@ -937,6 +924,8 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
         raise TooLarge(
             f"trials must be at most {_MAX_TRIALS}, got {_shown(trials, str)}"
         )
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadConfig(f"seed must be an integer, got {seed!r}")
     failures = [
         {
             "trial": idx,

@@ -11,7 +11,6 @@ from pfms import (
     BadConfig,
     DIP_DEPTH,
     ConvexityReport,
-    CutConvexityReport,
     GeneratorConfig,
     GradeField,
     GradeTriple,
@@ -210,7 +209,7 @@ class TestCutScan:
                 tuple(float(i) for i in range(m)), [[[0.3, 0.2, 0.1]]] * m
             )
 
-        assert cuts_all_convex(flat(64)).convex
+        assert cuts_all_convex(flat(64))
         with pytest.raises(TooLarge):
             cuts_all_convex(flat(65))
 
@@ -314,7 +313,7 @@ _JENSEN_FAILS = JensenReport(
 _cuts, _oracle = pfms.lab.cuts_all_convex, pfms.lab.oracle_convexity
 # patches of pfms.lab that force each failure kind of its suites
 _FORCINGS = {
-    "flip-cuts": {"cuts_all_convex": lambda ms: CutConvexityReport(not _cuts(ms).convex)},
+    "flip-cuts": {"cuts_all_convex": lambda ms: not _cuts(ms)},
     "flip-oracle": {"oracle_convexity": lambda ms: not _oracle(ms)},
     "not-convex": {"is_convex_exact": lambda ms: _NOT_CONVEX},
     "jensen-fails": {"jensen_check": lambda *a: _JENSEN_FAILS},
@@ -332,6 +331,13 @@ class TestSuites:
     def test_trials_validation(self):
         with pytest.raises(BadConfig):
             run_suite("jensen", 0)
+
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("x", "'x'"), (True, "True"),
+                                             (None, "None")])
+    def test_seed_must_be_an_integer(self, seed, shown):
+        with pytest.raises(BadConfig) as refused:
+            run_suite("jensen", 2, seed=seed)
+        assert str(refused.value) == f"seed must be an integer, got {shown}"
 
     def test_trial_limit(self):
         # refused before a single trial runs

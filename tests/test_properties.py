@@ -16,7 +16,7 @@ from pfms import (
     union,
 )
 from pfms.convexity import _majorant, _worst_dip
-from pfms.lab import _least_unimodal_by_search, _rises_after_falling
+from pfms.lab import _dips, _least_unimodal_by_search
 
 settings.register_profile("suite", settings(derandomize=True, max_examples=100))
 settings.load_profile("suite")
@@ -146,7 +146,7 @@ class TestUnimodalEnvelope:
         assert len(env) == len(values)
         assert all(e >= v for e, v in zip(env.tolist(), values))
         assert _worst_dip(env, 0.0, _majorant(env)) is None
-        assert not _rises_after_falling(env.tolist())
+        assert not _dips(env.tolist())
 
     @given(short_value_lists)
     def test_majorant_is_idempotent(self, values):
