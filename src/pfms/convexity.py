@@ -9,36 +9,32 @@ quasi-convex in the mirrored sense.  Only strict interior dips or bumps
 deeper than TOL_CMP count as violations, so rounding noise cannot flip a
 verdict.
 
-The exact check and the hull share one scan body.  They read one least
-unimodal majorant per (level, channel) row, the smaller of the two
+The exact check and the hull share one scan (_deep_rows).  It reads one
+least unimodal majorant per (level, channel) row, the smaller of the two
 running maxima of the row signed by CHANNEL_SIGNS, so that every channel
 is quasi-concave when convex: a node dips where the majorant exceeds it
 by more than TOL_CMP, and the hull is the majorants of the rows that dip,
-signed back, every other row being its own hull.  Which rows are
-scanned, and over which window of nodes, is the only thing that depends
-on size (_scan_rows).  Instances below _ROW_TEST_TRIPLES triples scan
-every row over every node.  On larger ones most rows need no scan:
-a row in which no strict rise follows a strict fall is unimodal, so it
-has no dip and is its own least unimodal majorant, bit for bit (see
-_dipping_rows).  One pass of comparisons in the stored (points, levels,
-3) layout finds the rows that fail this test, and one window of nodes,
-from the earliest first strict fall to the latest last strict rise among
-them plus one node, outside which each of them is nondecreasing before
-and nonincreasing after; a running maximum seeded at a window edge holds
-the bits of a whole-row scan there, and no node outside the window dips.
-The scanned rows are gathered over the window into one contiguous signed
-copy.  The exact check reads its verdicts off it and shifts its witness
-by the window's start; an instance with no row to scan is convex and its
-own hull.  The hull copies the grade array once, if some row dips, and
-writes the envelopes of the rows that dip over the window; a hull works
-out its sum flags from its envelopes when they are read.  Each row sees
+signed back, every other row being its own hull.  Only the rows scanned,
+and the window of nodes they are scanned over, depend on size: below
+_ROW_TEST_TRIPLES triples every row over every node, above it the rows
+with a strict rise after a strict fall, over the one window outside which
+none of them dips (_dipping_rows); a unimodal row is its own majorant,
+bit for bit.  The scanned rows are gathered over the window into one
+contiguous signed copy; the exact check shifts its witness by the
+window's start, and the hull copies the grade array once, if some row
+dips, and writes those rows' envelopes over the window.  Each row sees
 the operations of a scan down the points axis in the same order, so
 results are bit-identical to one, ties between 0.0 and -0.0 included.
 
-A cut solves a crossing only on the segments where its boundary crosses,
-so a region is the runs of nodes inside it, each widened to its
-crossings; regions of the three channels are intersected as interval
-unions.
+A cut reads a level once: three node masks, one per channel, give the
+runs of nodes inside all three channels and the few segments where some
+channel's boundary crosses.  Each such segment is solved as [latest
+channel start, earliest channel end], and kept when every channel holds
+one of its ends; one CutRegion of these pieces and the runs merges the
+pieces that touch.  Ties go to the earlier channel, and a node onto which
+rounding clamps two channels' crossings from its two sides is a piece of
+its own, so the endpoints are those of intersecting the three channels'
+own regions, 0.0 against -0.0 included.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
@@ -257,17 +253,6 @@ def _worst_dip(
 _ROW_TEST_TRIPLES = 768
 
 
-def _scan_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
-    """Rows, as flat indices 3 * level + channel, of an (points, levels, 3)
-    grade array that the exact check and the hull scan, and the window of
-    nodes they scan them over: every row over every node below
-    _ROW_TEST_TRIPLES triples, else the rows and window of _dipping_rows."""
-    points, depth = values.shape[:2]
-    if points * depth < _ROW_TEST_TRIPLES:
-        return _every_row(depth), slice(0, points)
-    return _dipping_rows(values)
-
-
 @functools.cache
 def _every_row(depth: int) -> np.ndarray:
     """Read-only flat indices of every row of ``depth`` levels, made once
@@ -319,20 +304,30 @@ def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
     return rows, slice(int(first_fall[rows].min()), int(last_rise[rows].max()) + 2)
 
 
-def _signed_rows(flat: np.ndarray, rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Contiguous copy of the ``rows`` (columns) of a (points, 3 * levels)
-    view of a grade array, one per index, each times its sign in
-    ``signs`` (_row_signs(rows)) so that it reads "larger is better"."""
-    return np.multiply(flat.take(rows, axis=1).T, signs, order="C")
-
-
-_SIGN_COLUMN = CHANNEL_SIGNS[:, None]
-
-
-def _row_signs(rows: np.ndarray) -> np.ndarray:
-    """CHANNEL_SIGNS of the flat ``rows``, as a column: row 3 * k + c
-    takes CHANNEL_SIGNS[c]."""
-    return _SIGN_COLUMN.take(rows, axis=0, mode="wrap")
+def _deep_rows(values: np.ndarray):
+    """The scan the exact check and the hull share, of an (points, levels,
+    3) grade array: None when no row dips, else (rows, win, signs, signed,
+    env, deep).  ``rows`` are flat indices 3 * level + channel and ``win``
+    the window of nodes scanned: every row over every node below
+    _ROW_TEST_TRIPLES triples, else the rows and window of _dipping_rows.
+    ``signed`` is one contiguous copy of those rows over the window, each
+    times its CHANNEL_SIGNS sign in the column ``signs`` so that it reads
+    "larger is better"; ``env`` holds their least unimodal majorants, and
+    ``deep`` flags the rows with a node more than TOL_CMP below theirs."""
+    points, depth = values.shape[:2]
+    if points * depth < _ROW_TEST_TRIPLES:
+        rows, win = _every_row(depth), slice(0, points)
+    else:
+        rows, win = _dipping_rows(values)
+        if not rows.size:  # rows without a rise after a fall have no dip
+            return None
+    signs = CHANNEL_SIGNS[:, None].take(rows, axis=0, mode="wrap")
+    signed = np.multiply(values.reshape(points, -1)[win].take(rows, axis=1).T, signs, order="C")
+    env = _majorant(signed)
+    deficit = env - signed
+    if not deficit.max() > TOL_CMP:
+        return None
+    return rows, win, signs, signed, env, (deficit > TOL_CMP).any(axis=-1)
 
 
 def _node_witness(
@@ -355,20 +350,16 @@ def is_convex_exact(ms: PictureFuzzyMultiset) -> ConvexityReport:
     any, is the deepest offending node of the first failing level and
     channel, with its nearest adequate flanks.
 
-    Only the rows and the window of _scan_rows are scanned, and the
+    Only the rows and the window of _deep_rows are scanned, and the
     witness's node indices are shifted by the window's start: the flanks
     are found inside the window, as a running maximum reaches its value at
     a node it has scanned.  With no row to scan the instance is convex at
     once."""
-    rows, win = _scan_rows(ms.values)
-    if not rows.size:  # rows without a rise after a fall have no dip
+    scan = _deep_rows(ms.values)
+    if scan is None:
         return ConvexityReport(convex=True, levels=(True,) * ms.depth)
-    signed = _signed_rows(ms.values.reshape(ms.size, -1)[win], rows, _row_signs(rows))
-    env = _majorant(signed)
-    deficit = env - signed
-    if not deficit.max() > TOL_CMP:
-        return ConvexityReport(convex=True, levels=(True,) * ms.depth)
-    bad = (deficit > TOL_CMP).any(axis=-1).nonzero()[0]
+    rows, win, _, signed, env, deep = scan
+    bad = deep.nonzero()[0]
     failed = rows[bad].tolist()  # in level, then channel order
     failed_levels = {r // 3 for r in failed}
     levels = tuple([k not in failed_levels for k in range(ms.depth)])
@@ -465,34 +456,6 @@ def is_convex_sampled(
 # cuts
 
 
-def _upper_region(xs: np.ndarray, vs: np.ndarray, threshold: float) -> CutRegion:
-    """Exact {x : channel(x) >= threshold} for one piecewise-linear channel
-    with node coordinates ``xs`` and node values ``vs``."""
-    inside = vs >= threshold
-    if len(xs) == 1:
-        return CutRegion(((xs[0], xs[0]),) if inside[0] else ())
-    seg = np.flatnonzero(inside[:-1] != inside[1:])  # segments the boundary crosses
-    x0, x1, v0 = xs[seg], xs[seg + 1], vs[seg]
-    # Crossings are clamped into their segment (ties keep the crossing, as
-    # max and min do).
-    xc = x0 + (threshold - v0) / (vs[seg + 1] - v0) * (x1 - x0)
-    xc = np.where(x0 > xc, x0, xc)
-    xc = np.where(x1 < xc, x1, xc)
-    enter = inside[seg + 1]
-    starts = xc[enter].tolist()
-    # A region left on segment b > 0 also holds segment b - 1, which ends
-    # at x0, so an exit equal to x0 is x0 (0.0 against -0.0), as merging
-    # the two segments' pieces with max keeps it.
-    ends = np.where((xc == x0) & (seg > 0), x0, xc)[~enter].tolist()
-    if inside[0]:
-        starts.insert(0, xs[0])
-    if inside[-1]:
-        ends.append(xs[-1])
-    # CutRegion merges regions that touch where an exit and an entry
-    # clamp onto the same node.
-    return CutRegion(tuple(zip(starts, ends)))
-
-
 def cut(
     ms: PictureFuzzyMultiset,
     thresholds: CutThresholds | Sequence[float],
@@ -511,11 +474,57 @@ def cut(
             raise LengthMismatch(f"thresholds must be three values (r, s, t), got {len(values)}")
         thresholds = CutThresholds(*values)
     k = ms.level_index(level)
-    xs, v = ms.grid.coords, ms.values
-    region = _upper_region(xs, v[:, k, 0], thresholds.r)
-    region = region.intersect(_upper_region(xs, v[:, k, 1], thresholds.s))
-    # the negative degree stays at or below t where its negation reaches -t
-    return region.intersect(_upper_region(xs, -v[:, k, 2], -thresholds.t))
+    xs, grades = ms.grid.coords, ms.values[:, k]
+    r, s, t = thresholds.r, thresholds.s, thresholds.t
+    masks = (grades[:, 0] >= r, grades[:, 1] >= s, grades[:, 2] <= t)
+    seg = np.flatnonzero((masks[0][:-1] != masks[0][1:]) | (masks[1][:-1] != masks[1][1:])
+                         | (masks[2][:-1] != masks[2][1:]))
+    # the crossed segments' ends, the negative channel negated (its bound is -t)
+    bounds, pair = np.array((r, s, -t)), seg[:, None] + (0, 1)
+    x0, x1 = xs[pair, None].transpose(1, 0, 2)
+    v0, v1 = (grades[pair] * CHANNEL_SIGNS).transpose(1, 0, 2)
+    in0, in1 = v0 >= bounds, v1 >= bounds
+    # crossings clamped into their segments (np.maximum and np.minimum keep
+    # their second operand on ties); a non-crossing's quotient is never kept
+    with np.errstate(all="ignore"):
+        xc = np.minimum(x1, np.maximum(x0, x0 + (bounds - v0) / (v1 - v0) * (x1 - x0)))
+    # an exit at x0 of segment b > 0 is x0 (0.0 against -0.0), as b - 1 ends there
+    onto_x0 = xc == x0
+    onto_x0[:1] &= seg[:1, None] > 0
+    start, end = np.where(in0, x0, xc), np.where(in1, x1, np.where(onto_x0, x0, xc))
+    pieces, landed = [], (in0 > in1) & (xc == x1)
+    if landed.any():  # exits rounded onto x1
+        # Such an exit ties with the channels that hold x1, of which only
+        # those ending there count: at the last node, or leaving the next
+        # segment at its start; a channel that also enters the next segment
+        # at x1 goes on.  A node that two channels' exit and entry are
+        # rounded onto from its two sides is a piece of its own.
+        entered, adjacent = (in0 < in1) & (xc == x0), (seg[1:] - seg[:-1] == 1)[:, None]
+        stops = np.zeros_like(in1)
+        stops[:-1] = (in0 > in1)[1:] & onto_x0[1:] & adjacent
+        stops[-1] = seg[-1] + 2 == len(xs)
+        through = landed[:-1] & entered[1:] & adjacent
+        end[in1 & ~stops] = np.inf
+        end[:-1][through] = np.inf
+        start[1:][through] = -np.inf
+        onto = [{*(seg[landed[:, c]] + 1).tolist(), *seg[entered[:, c]].tolist()} for c in range(3)]
+        for j in sorted(set().union(*onto)):
+            held_j = [bool(mask[j]) for mask in masks]
+            if not all(held_j) and all(h or j in o for h, o in zip(held_j, onto)):
+                pieces.append((xs.item(j), xs.item(j)))
+    # the earlier channel wins ties; x0 and x1 bound a piece only where all
+    # channels go past them
+    lo = np.maximum(x0[:, 0], np.maximum(start[:, 2], np.maximum(start[:, 1], start[:, 0])))
+    hi = np.minimum(x1[:, 0], np.minimum(end[:, 2], np.minimum(end[:, 1], end[:, 0])))
+    held = (in0 | in1).all(axis=1) & (lo <= hi)
+    # runs of nodes inside all three channels start and end on crossed
+    # segments or at the grid's ends
+    firsts, lasts = x1[in1.all(axis=1), 0].tolist(), x0[in0.all(axis=1), 0].tolist()
+    firsts[:0] = xs[:1].tolist() if masks[0][0] and masks[1][0] and masks[2][0] else []
+    lasts += xs[-1:].tolist() if masks[0][-1] and masks[1][-1] and masks[2][-1] else []
+    # solved pieces first: the stable sort lets a solved end win a run's tie
+    pieces[:0] = [*zip(lo[held].tolist(), hi[held].tolist()), *zip(firsts, lasts)]
+    return CutRegion(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +614,18 @@ def convex_hull(ms: PictureFuzzyMultiset) -> GradeField:
     dips deeper than TOL_CMP, a row with no node more than TOL_CMP below
     its envelope is its own hull, bit for bit.
 
-    Of the rows of _scan_rows only those that dip are rewritten, over its
+    Of the rows of _deep_rows only those that dip are rewritten, over its
     window only, as every row is its own hull elsewhere; the grade array
     is copied once, and not at all when no row dips."""
-    rows, win = _scan_rows(ms.values)
-    if rows.size:
-        signs = _row_signs(rows)
-        signed = _signed_rows(ms.values.reshape(ms.size, -1)[win], rows, signs)
-        envelopes = _majorant(signed)
-        deep = (envelopes - signed > TOL_CMP).any(axis=-1)
-        if deep.any():
-            hull = np.array(ms.values)
-            envelopes *= signs
-            hull.reshape(ms.size, -1)[win, rows[deep]] = envelopes[deep].T
-            hull.setflags(write=False)
-            return GradeField(ms.grid, hull)
-    return GradeField(ms.grid, ms.values)
+    scan = _deep_rows(ms.values)
+    if scan is None:
+        return GradeField(ms.grid, ms.values)
+    rows, win, signs, _, envelopes, deep = scan
+    hull = np.array(ms.values)
+    envelopes *= signs
+    hull.reshape(ms.size, -1)[win, rows[deep]] = envelopes[deep].T
+    hull.setflags(write=False)
+    return GradeField(ms.grid, hull)
 
 
 def hull_membership_test(

@@ -648,18 +648,3 @@ class CutRegion:
             else:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
-
-    def intersect(self, other: "CutRegion") -> "CutRegion":
-        out: list[tuple[float, float]] = []
-        i = j = 0
-        mine, theirs = self.intervals, other.intervals
-        while i < len(mine) and j < len(theirs):
-            lo = max(mine[i][0], theirs[j][0])
-            hi = min(mine[i][1], theirs[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if mine[i][1] < theirs[j][1]:
-                i += 1
-            else:
-                j += 1
-        return CutRegion(tuple(out))

@@ -16,9 +16,10 @@ representations (at most 17 significant digits), so parse(emit(ms))
 reproduces every float bit for bit.
 
 Parsing is ``json.loads`` plus one type scan of ``domain`` and one
-check of ``elements`` as an array (``core.first_invalid_point``); a bad
-domain or table is re-checked entry by entry from its first bad entry, so
-errors carry paths such as ``domain[i]`` or ``elements[i][k][j]``.
+build of the multiset from ``elements``, which checks them as an array
+(``core.first_invalid_point``); a bad domain or table is re-checked entry
+by entry from its first bad entry, so errors carry paths such as
+``domain[i]`` or ``elements[i][k][j]``.
 Emitting is ``values.tolist()`` plus ``json.dumps``.
 
 Both run with CPython's cyclic garbage collector paused.  A document of
@@ -35,7 +36,7 @@ from __future__ import annotations
 import gc
 import json
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Any, Iterator
 
 from .core import (
@@ -152,6 +153,10 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     except PfmsError as exc:
         raise type(exc)(f"domain: {exc}") from None
 
+    with suppress(PfmsError):  # checked once; a refusal is located below, for its path
+        ms = PictureFuzzyMultiset(grid, elements)
+        if ms.depth == depth:
+            return ms
     values = real_array(elements)
     regular = values is not None and values.shape[1] == depth
     bad = first_invalid_point(values) if regular else 0

@@ -926,6 +926,10 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
         )
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise BadConfig(f"seed must be an integer, got {seed!r}")
+    try:
+        str(seed)  # the report prints it
+    except ValueError:
+        raise BadConfig(f"seed must have few enough digits to print, got {_shown(seed)}") from None
     failures = [
         {
             "trial": idx,

@@ -306,6 +306,50 @@ class TestCut:
         assert err.startswith("error:")
 
 
+def _fragmented_doc():
+    # 321 nodes with -0.0 at index 160.  Level 1's positive channel zigzags
+    # across r = 0.4 and its neutral and negative channels cross s = 0.1 and
+    # t = 0.0 elsewhere, so its cut falls into 59 pieces; one of them,
+    # (0.0, -0.0), is entered at the -0.0 node by a crossing solved as 0.0
+    # and left by an exit solved onto that node
+    points = [(i - 160) * 0.5 for i in range(321)]
+    points[160] = -0.0
+    elements = []
+    for i in range(321):
+        p = (0.7, 0.2, 0.3, 0.55)[i % 4] + 0.01 * (i % 3)
+        n = 0.05 + 0.02 * (i % 5) if i % 6 else 0.02
+        g = 0.0 if i % 9 else 0.1
+        elements.append([[p, n, g], [0.6 * p, n, g]])
+    elements[159][0][2] = 0.1
+    elements[160][0] = [0.7, 0.1, -0.0]
+    elements[161][0] = [0.6, 0.1, 0.3]
+    return {"format_version": "1", "domain": points, "depth": 2, "elements": elements}
+
+
+# sha256 of `pfms cut` stdout on the fragmented instance, recorded before
+# the cut was solved in one pass per level
+FRAGMENTED_CUT_DIGESTS = {
+    None: "17d3703d80c0cd4dc55cfcafb865f6867d30d33733fdf7379b79a15b0f65fd89",
+    "1": "063cc3d2ece32318f4b4140f4fb0ae1fe48c71b3d1b1b677e8046d83992a2dce",
+    "2": "900efa8595292718446aa62494502a57060249cb515187108b31b5d76c12f547",
+}
+
+
+@pytest.mark.parametrize("level", [None, "1", "2"])
+def test_fragmented_cut_stdout_bytes_pinned(tmp_path, capsys, level):
+    path = tmp_path / "fragmented.json"
+    path.write_text(json.dumps(_fragmented_doc()))
+    argv = ["cut", str(path), "--r", "0.4", "--s", "0.1", "--t", "0.0"]
+    code, out, _ = run(capsys, *argv, *(["--level", level] if level else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FRAGMENTED_CUT_DIGESTS[level]
+    doc = json.loads(out)
+    if level != "2":
+        pieces = doc["intervals"] if level else doc["levels"]["1"]
+        signs = [(math.copysign(1.0, a), math.copysign(1.0, b)) for a, b in pieces if a == b == 0.0]
+        assert len(pieces) == 59 and signs == [(1.0, -1.0)]
+
+
 class TestHull:
     def test_bimodal_hull_payload(self, files, capsys):
         code, out, _ = run(capsys, "hull", files["bimodal"])

@@ -582,12 +582,6 @@ class TestCutRegion:
         region = CutRegion(())
         assert region.intervals == ()
 
-    def test_intersect(self):
-        a = CutRegion(((0.0, 2.0), (3.0, 5.0)))
-        b = CutRegion(((1.0, 4.0),))
-        assert a.intersect(b).intervals == ((1.0, 2.0), (3.0, 4.0))
-        assert a.intersect(CutRegion(())).intervals == ()
-
 
 def _round_trip_objects():
     ms = multiset_from_values(

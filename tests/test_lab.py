@@ -339,6 +339,17 @@ class TestSuites:
             run_suite("jensen", 2, seed=seed)
         assert str(refused.value) == f"seed must be an integer, got {shown}"
 
+    @pytest.mark.parametrize("sign, shown", [(1, ""), (-1, "-")])
+    def test_seed_too_long_to_print_is_refused(self, sign, shown):
+        # the report prints its seed, which str refuses past 4,300 digits
+        with pytest.raises(BadConfig) as refused:
+            run_suite("algebra-laws", 1, seed=sign * 10**5000)
+        assert str(refused.value) == (
+            f"seed must have few enough digits to print, got {shown}<int of 5001 digits>"
+        )
+        report = json.loads(run_suite("algebra-laws", 1, seed=sign * 10**100).to_json())
+        assert report["seed"] == sign * 10**100
+
     def test_trial_limit(self):
         # refused before a single trial runs
         with pytest.raises(TooLarge, match="trials must be at most 100000, got 100001"):

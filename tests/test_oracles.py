@@ -276,7 +276,7 @@ class TestHullLawCheck:
 def test_oracles_import_no_envelope_kernel():
     import pfms.lab as lab
 
-    for name in ("_majorant", "_worst_dip", "_dipping_rows", "_scan_rows", "_signed_rows"):
+    for name in ("_majorant", "_worst_dip", "_dipping_rows", "_deep_rows"):
         assert not hasattr(lab, name)
 
 

@@ -179,14 +179,3 @@ class TestCutRegion:
     def test_contains_matches_raw_intervals(self, raw, x):
         region = CutRegion(tuple((a, b) for a, b in raw))
         assert _covers(region.intervals, x) == _covers(raw, x)
-
-    @given(
-        st.lists(st.tuples(coords, coords).map(sorted), max_size=4),
-        st.lists(st.tuples(coords, coords).map(sorted), max_size=4),
-        coords,
-    )
-    def test_intersect_is_pointwise_and(self, raw_a, raw_b, x):
-        ra = CutRegion(tuple((a, b) for a, b in raw_a))
-        rb = CutRegion(tuple((a, b) for a, b in raw_b))
-        both = ra.intersect(rb)
-        assert _covers(both.intervals, x) == (_covers(raw_a, x) and _covers(raw_b, x))
