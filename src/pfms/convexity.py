@@ -53,7 +53,6 @@ raise TooLarge.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -253,16 +252,6 @@ def _worst_dip(
 _ROW_TEST_TRIPLES = 768
 
 
-@functools.cache
-def _every_row(depth: int) -> np.ndarray:
-    """Read-only flat indices of every row of ``depth`` levels, made once
-    per depth; only depths below _ROW_TEST_TRIPLES reach it, so the cache
-    stays bounded."""
-    rows = np.arange(3 * depth)
-    rows.setflags(write=False)
-    return rows
-
-
 def _dipping_rows(values: np.ndarray) -> tuple[np.ndarray, slice]:
     """Rows, as flat indices 3 * level + channel, of an (points, levels, 3)
     grade array whose signed node sequence has a strict rise after a
@@ -316,7 +305,7 @@ def _deep_rows(values: np.ndarray):
     ``deep`` flags the rows with a node more than TOL_CMP below theirs."""
     points, depth = values.shape[:2]
     if points * depth < _ROW_TEST_TRIPLES:
-        rows, win = _every_row(depth), slice(0, points)
+        rows, win = np.arange(3 * depth), slice(0, points)
     else:
         rows, win = _dipping_rows(values)
         if not rows.size:  # rows without a rise after a fall have no dip
@@ -393,6 +382,8 @@ def is_convex_sampled(
             )
         if count > most:
             raise TooLarge(f"{name} must be at most {most}, got {_shown(count, str)}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise PfmsError(f"seed must be an integer, got {_shown(seed)}")
     if pair_samples == 0:
         return ConvexityReport(
             convex=True, levels=(True,) * ms.depth, vacuous=True

@@ -51,7 +51,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -278,12 +278,6 @@ class DomainGrid:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __getitem__(self, i: int) -> float:
-        return self.points[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.points)
 
     def locate(self, x: float) -> tuple[int, float | None]:
         """Map ``x`` to (node index, None) at a grid point, or to

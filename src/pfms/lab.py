@@ -65,6 +65,10 @@ _MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accept
 _ORACLE_POINTS, _ORACLE_WEIGHTS = 41, 21  # oracle_convexity's lattice and weights k/20
 _ORACLE_STEP = 0.05  # the value lattice of oracle_hull's instances
 _MAX_TRIALS = 100_000  # largest trial count run_suite accepts
+# per channel, the sign under which it reads "larger is better": the oracles
+# mirror the negative channel with it rather than import core.CHANNEL_SIGNS,
+# so that they share no code with the checks they test
+_SIGNS = (1.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,40 +113,26 @@ class GeneratorConfig:
 # profiles
 
 
-def _ramp_profile(rng: random.Random, m: int, cap: float) -> list[float]:
-    """Rise-then-fall values in [0, cap]: quasi-concave by construction."""
-    peak = rng.randrange(m)
-    top = rng.uniform(0.2, 1.0) * cap
-    left = sorted(rng.uniform(0.0, top) for _ in range(peak))
-    right = sorted((rng.uniform(0.0, top) for _ in range(m - peak - 1)), reverse=True)
+def _profile(
+    rng: random.Random,
+    m: int,
+    draw: Callable[[float, float], float],
+    apex: Callable[[float], float],
+    cap: float,
+    valley: bool = False,
+) -> list[float]:
+    """``m`` values turning at node ``rng.randrange(m)``, which takes the
+    value ``apex(cap)``; the others come from ``draw`` (``rng.uniform``, or
+    ``rng.randint`` with int bounds), left of the turn first.  A ramp rises
+    to its apex and then falls, within [0, apex]: quasi-concave by
+    construction.  A valley falls to it and then rises, within [apex, cap]:
+    quasi-convex."""
+    turn = rng.randrange(m)
+    top = apex(cap)
+    lo, hi = (top, cap) if valley else (0, top)
+    left = sorted((draw(lo, hi) for _ in range(turn)), reverse=valley)
+    right = sorted((draw(lo, hi) for _ in range(m - turn - 1)), reverse=not valley)
     return [*left, top, *right]
-
-
-def _valley_profile(rng: random.Random, m: int, cap: float) -> list[float]:
-    """Fall-then-rise values in [0, cap]: quasi-convex by construction."""
-    trough = rng.randrange(m)
-    bottom = rng.uniform(0.0, 0.4) * cap
-    left = sorted((rng.uniform(bottom, cap) for _ in range(trough)), reverse=True)
-    right = sorted(rng.uniform(bottom, cap) for _ in range(m - trough - 1))
-    return [*left, bottom, *right]
-
-
-def _lattice_ramp(rng: random.Random, m: int, step: float, cap: float) -> list[float]:
-    kmax = int(cap / step + 1e-9)
-    peak = rng.randrange(m)
-    top = rng.randint(0, kmax)
-    left = sorted(rng.randint(0, top) for _ in range(peak))
-    right = sorted((rng.randint(0, top) for _ in range(m - peak - 1)), reverse=True)
-    return [k * step for k in (*left, top, *right)]
-
-
-def _lattice_valley(rng: random.Random, m: int, step: float, cap: float) -> list[float]:
-    kmax = int(cap / step + 1e-9)
-    trough = rng.randrange(m)
-    bottom = rng.randint(0, kmax)
-    left = sorted((rng.randint(bottom, kmax) for _ in range(trough)), reverse=True)
-    right = sorted(rng.randint(bottom, kmax) for _ in range(m - trough - 1))
-    return [k * step for k in (*left, bottom, *right)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +143,13 @@ def _convex_values(rng: random.Random, m: int, depth: int) -> np.ndarray:
     # One positive-channel shape scaled by nonincreasing level multipliers
     # keeps both the per-level unimodality and the cross-level order; the
     # free channels get fresh profiles per level.
-    base = _ramp_profile(rng, m, 1.0)
-    mults = sorted((rng.uniform(0.3, 1.0) for _ in range(depth)), reverse=True)
-    neu = [_ramp_profile(rng, m, rng.uniform(0.2, 1.0)) for _ in range(depth)]
-    neg = [_valley_profile(rng, m, rng.uniform(0.2, 1.0)) for _ in range(depth)]
+    draw = rng.uniform
+    peak = lambda cap: draw(0.2, 1.0) * cap
+    trough = lambda cap: draw(0.0, 0.4) * cap
+    base = _profile(rng, m, draw, peak, 1.0)
+    mults = sorted((draw(0.3, 1.0) for _ in range(depth)), reverse=True)
+    neu = [_profile(rng, m, draw, peak, draw(0.2, 1.0)) for _ in range(depth)]
+    neg = [_profile(rng, m, draw, trough, draw(0.2, 1.0), valley=True) for _ in range(depth)]
     values = np.stack([np.outer(base, mults), np.transpose(neu), np.transpose(neg)], -1)
     worst = ((values[..., 0] + values[..., 1]) + values[..., 2]).max()
     # One global factor: per-node factors would bend the shapes.
@@ -167,12 +160,15 @@ def _convex_lattice_values(
     rng: random.Random, m: int, depth: int, step: float
 ) -> np.ndarray:
     # Channel caps 0.5/0.3/0.2 keep every node sum at or below one without
-    # any rescaling, so the values stay exact lattice multiples.
-    pos = _lattice_ramp(rng, m, step, 0.5)
-    neu = [_lattice_ramp(rng, m, step, 0.3) for _ in range(depth)]
-    neg = [_lattice_valley(rng, m, step, 0.2) for _ in range(depth)]
+    # any rescaling, so the values stay exact lattice multiples.  The
+    # profiles count steps, in ints.
+    draw, apex = rng.randint, functools.partial(rng.randint, 0)
+    k_pos, k_neu, k_neg = (int(cap / step + 1e-9) for cap in (0.5, 0.3, 0.2))
+    pos = _profile(rng, m, draw, apex, k_pos)
+    neu = [_profile(rng, m, draw, apex, k_neu) for _ in range(depth)]
+    neg = [_profile(rng, m, draw, apex, k_neg, valley=True) for _ in range(depth)]
     pos = np.broadcast_to(np.array(pos)[:, None], (m, depth))
-    return np.stack([pos, np.transpose(neu), np.transpose(neg)], -1)
+    return np.stack([pos, np.transpose(neu), np.transpose(neg)], -1) * step
 
 
 def _random_values(rng: random.Random, m: int, depth: int) -> list[list[list[float]]]:
@@ -252,6 +248,8 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
     channel.  Neighbouring triples are rescaled as needed so the result
     still satisfies every construction invariant; positive-channel edits
     touch all levels of a point so the level order survives."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise BadConfig(f"seed must be an integer, got {_shown(seed)}")
     if ms.size < 3:
         raise BadConfig("planting a dip needs at least three grid points")
     rng = random.Random(seed)
@@ -322,24 +320,15 @@ def oracle_convexity(ms: PictureFuzzyMultiset) -> bool:
     i, j = np.triu_indices(_ORACLE_POINTS, 1)
     blend = (steps - ks)[:, None] * i + ks[:, None] * j
     for level in range(1, ms.depth + 1):
-        for channel, upper in (
-            ("positive", False),
-            ("neutral", False),
-            ("negative", True),
-        ):
-            nodes = np.asarray(ms.channel_nodes(channel, level))
+        for channel, sign in zip(CHANNELS, _SIGNS):
+            nodes = sign * np.asarray(ms.channel_nodes(channel, level))
             at_fine = np.interp(fine, xs, nodes)
             at_lattice = at_fine[::steps]
             at_blend = at_fine.take(blend)
             # a pair fails when its worst blend does
-            if upper:
-                bound = np.maximum(at_lattice[i], at_lattice[j])
-                if np.any(at_blend.max(axis=0) > bound + TOL_CMP):
-                    return False
-            else:
-                bound = np.minimum(at_lattice[i], at_lattice[j])
-                if np.any(at_blend.min(axis=0) < bound - TOL_CMP):
-                    return False
+            bound = np.minimum(at_lattice[i], at_lattice[j])
+            if np.any(at_blend.min(axis=0) < bound - TOL_CMP):
+                return False
     return True
 
 
@@ -391,7 +380,7 @@ def cuts_all_convex(ms: PictureFuzzyMultiset) -> bool:
     xs = ms.grid.points
     for rows in ms.values.transpose(1, 2, 0).tolist():  # level by level
         # the negative channel's lower cuts are upper cuts of -v
-        for sign, nodes in zip((1.0, 1.0, -1.0), rows):
+        for sign, nodes in zip(_SIGNS, rows):
             signed = [sign * v for v in nodes]
             for u in set(signed):
                 pieces = _upper_region(xs, signed, u)
@@ -453,17 +442,10 @@ def oracle_hull(ms: PictureFuzzyMultiset) -> GradeField:
                     raise BadConfig(
                         f"{channel} value {v!r} is not a multiple of {_ORACLE_STEP!r}"
                     )
-    per_level = []
-    for level in range(1, ms.depth + 1):
-        pos = _least_unimodal_by_search(ms.channel_nodes("positive", level))
-        neu = _least_unimodal_by_search(ms.channel_nodes("neutral", level))
-        neg_mirror = _least_unimodal_by_search(
-            [-v for v in ms.channel_nodes("negative", level)]
-        )
-        neg = tuple(-v for v in neg_mirror)
-        per_level.append((pos, neu, neg))
-    # per_level is indexed [level][channel][node]
-    return GradeField.from_envelopes(ms.grid, np.transpose(per_level, (2, 0, 1)))
+    # rows[level][channel] holds the signed node values
+    rows = (ms.values * _SIGNS).transpose(1, 2, 0).tolist()
+    envelopes = [[_least_unimodal_by_search(row) for row in level] for level in rows]
+    return GradeField.from_envelopes(ms.grid, np.transpose(envelopes, (2, 0, 1)) * _SIGNS)
 
 
 # ---------------------------------------------------------------------------
@@ -703,19 +685,14 @@ def _hull_law_violation(
     ms: PictureFuzzyMultiset, field: GradeField
 ) -> str | None:
     for level in range(1, ms.depth + 1):
-        for channel in CHANNELS:
-            original = ms.channel_nodes(channel, level)
-            hull = field.channel_nodes(channel, level)
-            if channel == "negative":
-                if any(h > v for h, v in zip(hull, original)):
-                    return f"negative hull above input at level {level}"
-                if _dips([-h for h in hull]):
-                    return f"negative hull not anti-unimodal/idempotent at level {level}"
-            else:
-                if any(h < v for h, v in zip(hull, original)):
-                    return f"{channel} hull below input at level {level}"
-                if _dips(hull):
-                    return f"{channel} hull not unimodal/idempotent at level {level}"
+        for channel, sign in zip(CHANNELS, _SIGNS):
+            original = [sign * v for v in ms.channel_nodes(channel, level)]
+            hull = [sign * h for h in field.channel_nodes(channel, level)]
+            side, shape = ("below", "unimodal") if sign > 0 else ("above", "anti-unimodal")
+            if any(h < v for h, v in zip(hull, original)):
+                return f"{channel} hull {side} input at level {level}"
+            if _dips(hull):
+                return f"{channel} hull not {shape}/idempotent at level {level}"
     return None
 
 
@@ -759,14 +736,10 @@ def _membership_gap(
     field = convex_hull(ms)
     combo = hull_membership_test(ms, points, weights, level)
     z = math.fsum(w * x for w, x in zip(weights, points))
-    for channel in CHANNELS:
+    for channel, sign in zip(CHANNELS, _SIGNS):
         combined = combo.channel(channel)
         envelope = field.channel_at(channel, level, z)
-        if channel == "negative":
-            escaped = combined < envelope - TOL_CMP
-        else:
-            escaped = combined > envelope + TOL_CMP
-        if escaped:
+        if sign * combined > sign * envelope + TOL_CMP:
             return {
                 "channel": channel,
                 "combination": combined,
@@ -925,7 +898,7 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
             f"trials must be at most {_MAX_TRIALS}, got {_shown(trials, str)}"
         )
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise BadConfig(f"seed must be an integer, got {seed!r}")
+        raise BadConfig(f"seed must be an integer, got {_shown(seed)}")
     try:
         str(seed)  # the report prints it
     except ValueError:

@@ -164,6 +164,15 @@ class TestIsConvexSampled:
         report = is_convex_sampled(bimodal_ms, 0, 21, seed=0)
         assert report.convex and report.vacuous
 
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("x", "'x'"), (True, "True"),
+                                             (None, "None"), ([1], "[1]")])
+    @pytest.mark.parametrize("pairs", [0, 10])
+    def test_seed_must_be_an_integer(self, convex_ms, pairs, seed, shown):
+        # None would seed from the system's entropy, so no two calls agree
+        with pytest.raises(PfmsError) as refused:
+            is_convex_sampled(convex_ms, pairs, 21, seed=seed)
+        assert str(refused.value) == f"seed must be an integer, got {shown}"
+
     def test_sample_counts_validated(self, convex_ms):
         with pytest.raises(PfmsError, match="lambda_samples must be an integer >= 1"):
             is_convex_sampled(convex_ms, 10, 0)

@@ -146,6 +146,14 @@ class TestPlantDip:
         with pytest.raises(BadConfig):
             plant_dip(ms, seed=0)
 
+    @pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), ("x", "'x'"), (True, "True"),
+                                             (None, "None"), ([1], "[1]")])
+    def test_seed_must_be_an_integer(self, convex_ms, seed, shown):
+        # None would seed from the system's entropy, so no two calls agree
+        with pytest.raises(BadConfig) as refused:
+            plant_dip(convex_ms, seed=seed)
+        assert str(refused.value) == f"seed must be an integer, got {shown}"
+
 
 class TestOracleConvexity:
     def test_frozen_fixtures(self, convex_ms, bimodal_ms):

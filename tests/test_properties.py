@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from pfms import (
     union,
 )
 from pfms.convexity import _majorant, _worst_dip
-from pfms.lab import _dips, _least_unimodal_by_search
+from pfms.lab import _dips, _least_unimodal_by_search, _profile
 
 settings.register_profile("suite", settings(derandomize=True, max_examples=100))
 settings.load_profile("suite")
@@ -156,6 +158,36 @@ class TestUnimodalEnvelope:
     @given(short_value_lists)
     def test_majorant_is_least(self, values):
         assert tuple(_majorant(np.array(values)).tolist()) == _least_unimodal_by_search(values)
+
+
+class TestLabProfile:
+    # the generators' one profile body, for continuous and lattice draws
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=64),
+        st.booleans(),
+        st.booleans(),
+        unit,
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_ramp_and_valley_shapes(self, seed, m, lattice, valley, cap, steps):
+        rng = random.Random(seed)
+        if lattice:  # counts steps of the lattice up to ``steps``
+            draw, apex, cap = rng.randint, functools.partial(rng.randint, 0), steps
+        else:
+            lo, hi = (0.0, 0.4) if valley else (0.2, 1.0)
+            draw, apex = rng.uniform, lambda c: rng.uniform(lo, hi) * c
+        values = _profile(rng, m, draw, apex, cap, valley=valley)
+        assert len(values) == m
+        assert all(0 <= v <= cap for v in values)
+        if lattice:  # whole steps: multiples of the step once scaled
+            assert all(type(v) is int for v in values)
+        turn = random.Random(seed).randrange(m)  # the body's first draw
+        head, tail = values[: turn + 1], values[turn:]
+        if valley:  # the mirror of a ramp
+            head, tail = [-v for v in head], [-v for v in tail]
+        assert head == sorted(head), "falls before its apex"
+        assert tail == sorted(tail, reverse=True), "rises after its apex"
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
