@@ -67,12 +67,12 @@ from .core import (
     CHANNELS,
     CutRegion,
     CutThresholds,
-    DomainGrid,
     GradeTriple,
     LengthMismatch,
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _GradeArray,
     _items,
     _shown,
     _within_sum,
@@ -152,35 +152,34 @@ class JensenReport:
     slacks: tuple[float, float, float]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class GradeField:
+@dataclass(frozen=True, eq=False)
+class GradeField(_GradeArray):
     """Per-node, per-level channel values without the sum constraint.
 
     Convex hulls raise the positive and neutral channels and lower the
     negative one independently, which can push a node's sum past one.
-    ``values`` is a read-only (points, levels, 3) array like a
-    multiset's; ``mask``, a (points, levels) bool array (as tuples:
-    ``valid``), flags the triples that keep the sum bound, worked out from
-    ``values`` when read.  Channel ranges are always respected."""
+    ``values`` is a read-only (points, levels, 3) float64 array like a
+    multiset's: the constructor keeps a read-only C-ordered float64 array
+    as given, stores a read-only float64 copy of anything else, and
+    raises LengthMismatch unless the shape is (len(grid), depth >= 1, 3);
+    it checks no ranges, which a hull keeps.  ``mask``, a (points,
+    levels) bool array (as tuples: ``valid``), flags the triples that
+    keep the sum bound, worked out from ``values`` when read."""
 
-    grid: DomainGrid
-    values: np.ndarray
+    __slots__ = ()
 
-    @classmethod
-    def from_envelopes(cls, grid: DomainGrid, values: np.ndarray) -> "GradeField":
-        """Field of a read-only copy of an envelope array."""
-        values = np.array(values, dtype=np.float64, order="C")
-        values.setflags(write=False)
-        return cls(grid, values)
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild from the envelopes: values stays read-only
-        return GradeField.from_envelopes, (self.grid, self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradeField):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
+    def __post_init__(self) -> None:
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.c_contiguous and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=np.float64, order="C")
+            values.setflags(write=False)
+            object.__setattr__(self, "values", values)
+        shape, m = values.shape, len(self.grid)
+        if len(shape) != 3 or shape[0] != m or shape[1] < 1 or shape[2] != 3:
+            raise LengthMismatch(f"field values need shape ({m}, depth >= 1, 3), got {shape}")
 
     @property
     def mask(self) -> np.ndarray:
@@ -193,16 +192,8 @@ class GradeField:
         return tuple(map(tuple, self.mask.tolist()))
 
     @property
-    def depth(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def fully_valid(self) -> bool:
         return bool(self.mask.all())
-
-    def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
-        k = level_index(level, self.depth)
-        return tuple(self.values[:, k, channel_index(channel)].tolist())
 
     def channel_at(self, channel: str, level: int, x: float) -> float:
         """Linear interpolation of one hull channel, exact at nodes."""

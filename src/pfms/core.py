@@ -32,10 +32,12 @@ the checks alone.  GradeTriple is a frozen slots dataclass with a
 hand-written __init__ that runs these checks and stores the fields
 through the slots' member descriptors, not through the frozen
 __setattr__; evaluate checks a plain int level inline and leaves
-anything else to level_index.  It reads its six floats by index from a
-flat memoryview of the grade array, a view that copies nothing, made at
-construction and kept in a slot outside the dataclass fields, so ==,
-repr, asdict and astuple see only the grid and the values.  The batch
+anything else to level_index.  It reads its six floats by index from
+_flat, a flat memoryview of the grade array that copies nothing, made at
+construction and kept in a slot of the multiset's own, outside the
+fields of its base _GradeArray (grid and values, shared with
+convexity.GradeField), so ==, repr, asdict and astuple see only those
+two.  The batch
 evaluator behind the sampled convexity check gives evaluate's bits on
 whole arrays of coordinates (see PictureFuzzyMultiset._evaluate_many).
 
@@ -451,20 +453,36 @@ def _grade_array(values, size: int) -> np.ndarray:
     return arr
 
 
-class _FlatGrades:
-    """Holds ``_flat``, a flat float memoryview of an instance's grade
-    array that evaluate reads.  A slot of a base class, not a dataclass
-    field: asdict and astuple would try to copy it, which a memoryview
-    refuses."""
-
-    __slots__ = ("_flat",)
-
-
-_set_flat = _FlatGrades.__dict__["_flat"].__set__
-
-
 @dataclass(frozen=True, slots=True, eq=False)
-class PictureFuzzyMultiset(_FlatGrades):
+class _GradeArray:
+    """A grid and a (points, levels, 3) float64 grade array over it, the
+    base of PictureFuzzyMultiset and convexity.GradeField.  Instances of
+    two classes never compare equal."""
+
+    grid: DomainGrid
+    values: np.ndarray
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the checks: values stays read-only
+        return type(self), (self.grid, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
+    @property
+    def depth(self) -> int:
+        return self.values.shape[1]
+
+    def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
+        """Node values of one channel at one level, in grid order."""
+        k = level_index(level, self.depth)
+        return tuple(self.values[:, k, channel_index(channel)].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class PictureFuzzyMultiset(_GradeArray):
     """A picture fuzzy multiset: one sequence of level triples per grid
     point.
 
@@ -474,30 +492,18 @@ class PictureFuzzyMultiset(_FlatGrades):
     Evaluation between grid points interpolates each channel linearly and
     reproduces stored triples exactly at the nodes."""
 
-    grid: DomainGrid
-    values: np.ndarray
+    # evaluate's flat memoryview of values: a slot, not a field, as asdict
+    # and astuple would try to copy it, which a memoryview refuses
+    __slots__ = ("_flat",)
 
     def __post_init__(self) -> None:
         values = _grade_array(self.values, len(self.grid))
         object.__setattr__(self, "values", values)
         _set_flat(self, memoryview(values.ravel()))  # a view: values is C-ordered
 
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through the checks: values stays read-only
-        return PictureFuzzyMultiset, (self.grid, self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PictureFuzzyMultiset):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
     def __hash__(self) -> int:
         # float hashing, unlike the raw bytes, equates 0.0 with -0.0 as == does
         return hash((self.grid, self.values.shape, tuple(self.values.ravel().tolist())))
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[1]
 
     @property
     def size(self) -> int:
@@ -505,11 +511,6 @@ class PictureFuzzyMultiset(_FlatGrades):
 
     def level_index(self, level: int) -> int:
         return level_index(level, self.depth)
-
-    def channel_nodes(self, channel: str, level: int) -> tuple[float, ...]:
-        """Node values of one channel at one level, in grid order."""
-        k = self.level_index(level)
-        return tuple(self.values[:, k, channel_index(channel)].tolist())
 
     def evaluate(self, x: float, level: int) -> GradeTriple:
         """Interpolated triple at coordinate ``x`` on a 1-based level."""
@@ -572,6 +573,9 @@ class PictureFuzzyMultiset(_FlatGrades):
         ok &= placed.reshape(-1, 1)
         shape = xs.shape + values.shape[1:]
         return grades.reshape(shape), ok.reshape(shape[:-1])
+
+
+_set_flat = PictureFuzzyMultiset.__dict__["_flat"].__set__
 
 
 def multiset_from_values(

@@ -445,7 +445,7 @@ def oracle_hull(ms: PictureFuzzyMultiset) -> GradeField:
     # rows[level][channel] holds the signed node values
     rows = (ms.values * _SIGNS).transpose(1, 2, 0).tolist()
     envelopes = [[_least_unimodal_by_search(row) for row in level] for level in rows]
-    return GradeField.from_envelopes(ms.grid, np.transpose(envelopes, (2, 0, 1)) * _SIGNS)
+    return GradeField(ms.grid, np.transpose(envelopes, (2, 0, 1)) * _SIGNS)
 
 
 # ---------------------------------------------------------------------------

@@ -1051,6 +1051,61 @@ class TestConvexHull:
         assert field.channel_at("positive", 1, 0.5) == pytest.approx(0.55, **APPROX)
 
 
+class TestGradeFieldConstructor:
+    """A field's values are one read-only C-ordered float64 array of shape
+    (points, depth >= 1, 3), whatever the constructor is given."""
+
+    GRID = (0.0, 1.0, 2.0)
+    ROWS = [[[0.6, 0.1, 0.2]], [[0.5, 0.2, 0.1]], [[0.5, 0.1, 0.3]]]
+
+    def _grid(self):
+        return multiset_from_values(self.GRID, self.ROWS).grid
+
+    def test_writable_array_is_copied_read_only(self):
+        source = np.array(self.ROWS)
+        field = GradeField(self._grid(), source)
+        assert field.values is not source and field.values.flags.writeable is False
+        assert field.valid == ((True,), (True,), (True,))
+        source[1, 0] = [1.0, 1.0, 1.0]  # a later write to the source does not reach it
+        assert field.values.tolist() == self.ROWS and field.fully_valid
+
+    def test_nested_list_is_stored_as_a_read_only_float64_array(self):
+        field = GradeField(self._grid(), [[[1, 0, 0]], [[0, 1, 0]], [[1, 0, 0]]])
+        assert field.values.dtype == np.float64 and field.values.flags.writeable is False
+        assert field.values.flags.c_contiguous
+        assert field.valid == ((True,), (True,), (True,))
+        assert field.channel_at("neutral", 1, 0.5) == 0.5
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((2, 1, 3)), np.zeros((3, 3)), np.zeros((3, 1, 2)), np.zeros((3, 0, 3))],
+        ids=["two-points", "two-axes", "two-channels", "no-levels"],
+    )
+    def test_wrong_shape_raises_length_mismatch(self, values):
+        with pytest.raises(LengthMismatch):
+            GradeField(self._grid(), values)
+
+    def test_read_only_float64_array_is_kept_as_given(self, convex_ms):
+        values = np.array(self.ROWS)
+        values.setflags(write=False)
+        assert GradeField(self._grid(), values).values is values
+        assert convex_hull(convex_ms).values is convex_ms.values
+        # a read-only array that is not C-ordered, or not float64, is copied
+        for other in (np.asfortranarray(np.full((3, 2, 3), 0.25)),
+                      np.array(self.ROWS, dtype=np.float32)):
+            other.setflags(write=False)
+            field = GradeField(self._grid(), other)
+            assert field.values is not other and field.values.dtype == np.float64
+            assert field.values.flags.c_contiguous and field.values.flags.writeable is False
+
+    def test_field_and_multiset_never_compare_equal(self, convex_ms):
+        field = GradeField(convex_ms.grid, convex_ms.values)
+        assert field.values is convex_ms.values
+        assert not field == convex_ms and not convex_ms == field
+        with pytest.raises(TypeError):
+            hash(field)
+
+
 class TestHullMembership:
     def test_single_point_is_evaluate(self, convex_ms):
         out = hull_membership_test(convex_ms, [0.5], [1.0], 1)

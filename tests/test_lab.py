@@ -307,7 +307,7 @@ class TestHullGapFixture:
 
 
 def _zero_hull(ms):
-    return GradeField.from_envelopes(ms.grid, np.zeros_like(ms.values))
+    return GradeField(ms.grid, np.zeros_like(ms.values))
 
 
 _NOT_CONVEX = ConvexityReport(

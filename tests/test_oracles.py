@@ -223,9 +223,7 @@ class TestOracleHullMatchesReference:
                 [-v for v in ms.channel_nodes("negative", level)]
             )
             per_level.append((pos, neu, tuple(-v for v in neg)))
-        expected = GradeField.from_envelopes(
-            ms.grid, np.transpose(per_level, (2, 0, 1))
-        )
+        expected = GradeField(ms.grid, np.transpose(per_level, (2, 0, 1)))
         assert field == expected
         assert field.values.tobytes() == expected.values.tobytes()
 
@@ -244,7 +242,7 @@ class TestHullLawCheck:
         values = np.array(ms.values)
         for channel, column in columns.items():
             values[:, 0, channel] = column
-        return GradeField.from_envelopes(ms.grid, values)
+        return GradeField(ms.grid, values)
 
     def test_unimodal_hull_passes(self):
         ms = self._instance()
@@ -270,7 +268,7 @@ class TestHullLawCheck:
             (0.0, 1.0, 2.0),
             [[[0.0, 0.0, 0.0]], [[-0.0, 0.0, -0.0]], [[0.0, 0.0, 0.0]]],
         )
-        assert _hull_law_violation(ms, GradeField.from_envelopes(ms.grid, ms.values)) is None
+        assert _hull_law_violation(ms, GradeField(ms.grid, ms.values)) is None
 
 
 def test_oracles_import_no_envelope_kernel():
