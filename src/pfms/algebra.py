@@ -81,6 +81,23 @@ def intersection(
     return _pick(a, b, _INTERSECTION)
 
 
+def _summed_in_bound(grid, values: np.ndarray) -> PictureFuzzyMultiset:
+    """The multiset of ``values``, computed from valid triples; where one
+    rounds just above the sum bound, its largest channel is lowered by the
+    fewest ulps that bring the sum back in bound."""
+    try:
+        return PictureFuzzyMultiset(grid, values)
+    except SumExceedsOne:
+        pass
+    values = values.copy()
+    for i, k in np.argwhere(~_within_sum(values)):  # finite: > and not <= agree
+        trip = values[i, k]
+        while not _within_sum(trip):
+            top = trip.argmax()
+            trip[top] = np.nextafter(trip[top], -np.inf)
+    return PictureFuzzyMultiset(grid, values)
+
+
 def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     """Swap positive and negative channels, then restore the level order.
 
@@ -89,26 +106,14 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     Ties sort by neutral descending, then negative ascending, and keep
     their level order when all three agree (the sort is stable).  The sum
     bound is checked as (positive + neutral) + negative, so a valid triple
-    can round just above it once swapped; there the largest channel of
-    the triple is lowered by the fewest ulps that bring the sum back in
-    bound, so the complement of a valid instance is valid."""
+    can round just above it once swapped (see _summed_in_bound)."""
     swapped = a.values[..., ::-1]
     if a.depth > 1:
         order = np.lexsort(
             (swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1
         )
         swapped = np.take_along_axis(swapped, order[..., None], axis=1)
-    try:
-        return PictureFuzzyMultiset(a.grid, swapped)
-    except SumExceedsOne:
-        pass
-    swapped = swapped.copy()
-    for i, k in np.argwhere(~_within_sum(swapped)):  # finite: > and not <= agree
-        trip = swapped[i, k]
-        while not _within_sum(trip):
-            top = trip.argmax()
-            trip[top] = np.nextafter(trip[top], -np.inf)
-    return PictureFuzzyMultiset(a.grid, swapped)
+    return _summed_in_bound(a.grid, swapped)
 
 
 def convex_combination(
@@ -120,10 +125,11 @@ def convex_combination(
     channel by channel and level by level.  lam = 1 returns ``a`` exactly,
     lam = 0 returns ``b`` exactly.
 
-    The result is revalidated; a level-order violation surfaces as
-    PositiveOrderViolation instead of being silently re-sorted.
+    The result is revalidated: a sum rounded just past the bound is
+    brought back (see _summed_in_bound), and a level-order violation
+    surfaces as PositiveOrderViolation instead of being silently re-sorted.
     """
     _check_aligned(a, b)
     lam = check_unit(lam, "lambda")
     mu = 1.0 - lam
-    return PictureFuzzyMultiset(a.grid, lam * a.values + mu * b.values)
+    return _summed_in_bound(a.grid, lam * a.values + mu * b.values)

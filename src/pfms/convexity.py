@@ -73,6 +73,7 @@ from .core import (
     PictureFuzzyMultiset,
     TooLarge,
     _GradeArray,
+    _blended,
     _items,
     _shown,
     _within_sum,
@@ -161,25 +162,29 @@ class GradeField(_GradeArray):
     ``values`` is a read-only (points, levels, 3) float64 array like a
     multiset's: the constructor keeps a read-only C-ordered float64 array
     as given, stores a read-only float64 copy of anything else, and
-    raises LengthMismatch unless the shape is (len(grid), depth >= 1, 3);
-    it checks no ranges, which a hull keeps.  ``mask``, a (points,
-    levels) bool array (as tuples: ``valid``), flags the triples that
-    keep the sum bound, worked out from ``values`` when read."""
+    raises LengthMismatch unless that converts to the shape (len(grid),
+    depth >= 1, 3); it checks no ranges, which a hull keeps.  ``mask``, a
+    (points, levels) bool array (as tuples: ``valid``), flags the triples
+    that keep the sum bound, worked out from ``values`` when read."""
 
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        values = self.values
+        values, m = self.values, len(self.grid)
+        need = f"field values need shape ({m}, depth >= 1, 3)"
         if not (
             isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.flags.c_contiguous and not values.flags.writeable
         ):
-            values = np.array(values, dtype=np.float64, order="C")
+            try:
+                values = np.array(values, dtype=np.float64, order="C")
+            except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+                raise LengthMismatch(f"{need} of floats") from None
             values.setflags(write=False)
             object.__setattr__(self, "values", values)
-        shape, m = values.shape, len(self.grid)
+        shape = values.shape
         if len(shape) != 3 or shape[0] != m or shape[1] < 1 or shape[2] != 3:
-            raise LengthMismatch(f"field values need shape ({m}, depth >= 1, 3), got {shape}")
+            raise LengthMismatch(f"{need}, got {shape}")
 
     @property
     def mask(self) -> np.ndarray:
@@ -403,12 +408,10 @@ def is_convex_sampled(
         # non-finite ones, which evaluate rejects
         with np.errstate(invalid="ignore", over="ignore"):
             coords = np.concatenate((ends, (1.0 - lam) * x + lam * y), axis=1)
-        grades, ok = ms._evaluate_many(coords)
-        if not ok.all():
-            # the scalar order is pair, level, then x, y and the blend points
-            order = ok.transpose(0, 2, 1)
-            p, k, j = np.unravel_index(order.argmin(), order.shape)
-            ms.evaluate(float(coords[p, j]), int(k) + 1)  # raises its error
+        grades, placed = ms._evaluate_many(coords)
+        if not placed.all():
+            # only locate fails, on all levels alike: raise at the first unplaced one
+            ms.evaluate(float(coords.flat[placed.argmin()]), 1)
         signed = grades  # the negative channel negated in place
         np.negative(signed[..., 2], out=signed[..., 2])
         # min(gx, gy) on the signed channels: max for the negative one
@@ -618,11 +621,12 @@ def hull_membership_test(
 ) -> GradeTriple:
     """Grade-side convex combination of the values at several points.
 
-    Returns the weighted channel-wise blend of the evaluated grades; the
-    caller compares it against the hull field at the weighted coordinate.
+    Returns the weighted channel-wise blend of the evaluated grades,
+    unchecked: in the range and sum bounds up to its rounding and the
+    weights' TOL_SUM.  The caller compares it against the hull field.
     """
     w, _, grades = _grades_at(ms, points, weights, level)
-    return GradeTriple(
+    return _blended(
         math.fsum(wi * g.positive for wi, g in zip(w, grades)),
         math.fsum(wi * g.neutral for wi, g in zip(w, grades)),
         math.fsum(wi * g.negative for wi, g in zip(w, grades)),

@@ -24,22 +24,22 @@ them in one map(float) pass, checks them in a scalar loop and keeps them
 as a tuple and as one read-only float64 array, plus its ends and the
 ends widened by the boundary slack, so array code and point queries
 read them instead of rebuilding them.
-Point queries return GradeTriple.  In DomainGrid.locate a Python float
-inside the widened ends, and in GradeTriple three in-range Python floats
-with a sum in bound, pass with one chained comparison; any other input
-takes the full checks, so results, conversions and errors are those of
-the checks alone.  GradeTriple is a frozen slots dataclass with a
-hand-written __init__ that runs these checks and stores the fields
-through the slots' member descriptors, not through the frozen
-__setattr__; evaluate checks a plain int level inline and leaves
-anything else to level_index.  It reads its six floats by index from
-_flat, a flat memoryview of the grade array that copies nothing, made at
-construction and kept in a slot of the multiset's own, outside the
-fields of its base _GradeArray (grid and values, shared with
-convexity.GradeField), so ==, repr, asdict and astuple see only those
-two.  The batch
-evaluator behind the sampled convexity check gives evaluate's bits on
-whole arrays of coordinates (see PictureFuzzyMultiset._evaluate_many).
+Grades are checked once, when an instance is built: point queries check
+only their arguments and return blends of checked nodes unchecked
+(_blended), in the range and sum bounds up to one blend's rounding.
+GradeTriple is a frozen slots dataclass whose hand-written __init__, the
+one checked path for triples from outside, stores the fields through the
+slots' member descriptors, not through the frozen __setattr__.
+DomainGrid.locate passes a Python float inside the widened ends with one
+chained comparison and any other input through the full checks; evaluate
+checks a plain int level inline and leaves the rest to level_index.  It
+reads its six floats by index from _flat, a flat memoryview of the grade
+array that copies nothing, made at construction and kept in a slot of
+the multiset's own, outside the fields of its base _GradeArray (grid and
+values, shared with convexity.GradeField), so ==, repr, asdict and
+astuple see only those two.  The batch evaluator behind the sampled
+convexity check gives evaluate's bits on whole arrays of coordinates
+(see PictureFuzzyMultiset._evaluate_many).
 
 Nothing in this module repairs bad input.  Constructors reject violations
 outright; the tolerances below exist only to absorb floating-point
@@ -172,7 +172,8 @@ class GradeTriple:
 
     Each component lies in [0, 1] and the componentwise sum is at most one
     (up to TOL_SUM).  The remainder 1 - (positive + neutral + negative) is
-    the refusal degree.
+    the refusal degree.  Only the constructor checks: point queries
+    return unchecked blends (see _blended).
     """
 
     positive: float
@@ -180,23 +181,12 @@ class GradeTriple:
     negative: float
 
     def __init__(self, positive: float, neutral: float, negative: float) -> None:
-        p, n, g = positive, neutral, negative
-        # Three floats in range with a sum in bound are stored as given
-        # (NaN fails every comparison); anything else takes the checks
-        # below, which convert it or raise.
-        if not (
-            type(p) is float and type(n) is float and type(g) is float
-            and _UNIT_LO <= p <= _UNIT_HI and _UNIT_LO <= n <= _UNIT_HI
-            and _UNIT_LO <= g <= _UNIT_HI and p + n + g <= _SUM_CAP
-        ):
-            p = check_unit(positive, "positive")
-            n = check_unit(neutral, "neutral")
-            g = check_unit(negative, "negative")
-            total = p + n + g
-            if total > _SUM_CAP:
-                raise SumExceedsOne(
-                    f"positive+neutral+negative = {total!r} exceeds 1"
-                )
+        p = check_unit(positive, "positive")
+        n = check_unit(neutral, "neutral")
+        g = check_unit(negative, "negative")
+        total = p + n + g
+        if total > _SUM_CAP:
+            raise SumExceedsOne(f"positive+neutral+negative = {total!r} exceeds 1")
         # the slots' own descriptors store past the frozen __setattr__
         _set_positive(self, p)
         _set_neutral(self, n)
@@ -212,6 +202,15 @@ class GradeTriple:
 _set_positive = GradeTriple.__dict__["positive"].__set__
 _set_neutral = GradeTriple.__dict__["neutral"].__set__
 _set_negative = GradeTriple.__dict__["negative"].__set__
+
+
+def _blended(p: float, n: float, g: float) -> GradeTriple:
+    """A GradeTriple of floats blended from checked grades, not re-checked."""
+    triple = object.__new__(GradeTriple)
+    _set_positive(triple, p)
+    _set_neutral(triple, n)
+    _set_negative(triple, g)
+    return triple
 
 
 def channel_index(name: str) -> int:
@@ -513,7 +512,7 @@ class PictureFuzzyMultiset(_GradeArray):
         return level_index(level, self.depth)
 
     def evaluate(self, x: float, level: int) -> GradeTriple:
-        """Interpolated triple at coordinate ``x`` on a 1-based level."""
+        """Interpolated triple at coordinate ``x`` on a 1-based level, unchecked."""
         depth = self.values.shape[1]
         if type(level) is int and 0 < level <= depth:
             k = level - 1
@@ -522,30 +521,28 @@ class PictureFuzzyMultiset(_GradeArray):
         i, t = self.grid.locate(x)
         f, j = self._flat, 3 * (i * depth + k)  # the triple at point i, level k
         if t is None:
-            return GradeTriple(f[j], f[j + 1], f[j + 2])
+            return _blended(f[j], f[j + 1], f[j + 2])
         p0, n0, g0 = f[j], f[j + 1], f[j + 2]
         j += 3 * depth  # the next point
         s = 1.0 - t
-        return GradeTriple(s * p0 + t * f[j], s * n0 + t * f[j + 1], s * g0 + t * f[j + 2])
+        return _blended(s * p0 + t * f[j], s * n0 + t * f[j + 1], s * g0 + t * f[j + 2])
 
     def _evaluate_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What evaluate gives at every coordinate of a float64 array, on
         every level.
 
         Returns the triples, shape xs.shape + (depth, 3), with the bits
-        evaluate gives, and the bool array, shape xs.shape + (depth,), of
-        the evaluations that succeed: False where locate rejects the
-        coordinate or the triple fails a GradeTriple check.  The caller
-        re-runs evaluate on a failure to raise its error.
+        evaluate gives, and the bool array ``placed``, shape xs.shape, of
+        the coordinates locate accepts; as in evaluate, the triples are
+        not checked.  The caller re-runs evaluate at a coordinate that is
+        not placed to raise its error.
 
         The coordinates are searched in sorted order, which costs numpy's
         binary search fewer steps than unsorted keys, and each index is
         put back at its key's place.  Both segment ends are gathered with
         take, and the blend (1 - t) * v0 + t * v1 is formed in place in
         the gathered copies, in evaluate's operations.  Coordinates that
-        hit a node then get its stored triple, found by index.  The range
-        test compares the whole array at once, then folds the three
-        channels."""
+        hit a node then get its stored triple, found by index."""
         grid, values = self.grid, self.values
         pts, lo, hi = grid.coords, grid.lo, grid.hi
         placed = (xs >= grid.lo_reach) & (xs <= grid.hi_reach)  # False for inf and NaN
@@ -565,14 +562,7 @@ class PictureFuzzyMultiset(_GradeArray):
             grades += v1
             hit = np.flatnonzero(x1 == x)  # nodes take their triples
             grades[hit] = values.take(i.take(hit), axis=0)
-            ok = _within_sum(grades)
-            in_range = (grades >= _UNIT_LO) & (grades <= _UNIT_HI)  # NaN is out
-        ok &= in_range[..., 0]
-        ok &= in_range[..., 1]
-        ok &= in_range[..., 2]
-        ok &= placed.reshape(-1, 1)
-        shape = xs.shape + values.shape[1:]
-        return grades.reshape(shape), ok.reshape(shape[:-1])
+        return grades.reshape(xs.shape + values.shape[1:]), placed
 
 
 _set_flat = PictureFuzzyMultiset.__dict__["_flat"].__set__

@@ -226,6 +226,17 @@ class TestConvexCombination:
         with pytest.raises(GridMismatch):
             convex_combination(convex_ms, other, 0.5)
 
+    def test_blend_at_the_sum_bound_gives_up_one_ulp(self):
+        # the blend's sum rounds to 1.0000000010000003, 1 ulp past the cap;
+        # its largest channel is lowered by the 1 ulp, as in complement
+        a = (0.895325524671799, 0.07281089690537494, 0.0318635794228261)
+        b = (0.7520498189338021, 0.05641897257137142, 0.1915312094948266)
+        lam = 0.9424655091787275
+        p, n, g = (lam * x + (1.0 - lam) * y for x, y in zip(a, b))
+        assert (p + n) + g > 1.0 + TOL_SUM
+        out = triple_at(convex_combination(single(*a), single(*b), lam))
+        assert out == (math.nextafter(p, 0.0), n, g)
+
 
 class TestSignedZeroTies:
     """Ties between 0.0 and -0.0 keep the operand that Python's max and

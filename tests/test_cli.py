@@ -410,6 +410,20 @@ class TestOp:
         path.write_text(out)
         assert run(capsys, "validate", str(path))[0] == 0
 
+    def test_blend_of_valid_triples_at_the_sum_bound(self, tmp_path, capsys):
+        # the blended sum rounds to 1.0000000010000003, 1 ulp past the cap
+        paths = []
+        for name, triple in (("a", [0.895325524671799, 0.07281089690537494, 0.0318635794228261]),
+                             ("b", [0.7520498189338021, 0.05641897257137142, 0.1915312094948266])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(CONVEX_DOC, domain=[0.0], elements=[[triple]])))
+            paths.append(str(path))
+        code, out, err = run(capsys, "op", "blend", *paths, "--lambda", "0.9424655091787275")
+        assert (code, err) == (0, "")
+        path = tmp_path / "blend.json"
+        path.write_text(out)
+        assert run(capsys, "validate", str(path))[0] == 0
+
     def test_complement_rejects_second_operand(self, files, capsys):
         code, _, err = run(
             capsys, "op", "complement", files["convex"], files["bimodal"]
@@ -441,6 +455,26 @@ class TestOp:
         code, _, err = run(capsys, "op", "union", files["convex"], files["shifted"])
         assert code == 2
         assert err.startswith("error:")
+
+
+# Two valid nodes whose blends round 1 ulp past the sum bound at about
+# one interior coordinate in eleven.
+SUM_EDGE_DOC = dict(CONVEX_DOC, domain=[0, 1], elements=[
+    [[0.2981919417804871, 0.673293969443177, 0.02851408977633607]],
+    [[0.7854861716415126, 0.14307781977692424, 0.07143600958156326]],
+])
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-convex", "--mode", "sampled"),
+    ("jensen", "--points", "0.2478845313785698", "--weights", "1"),
+])
+def test_blends_past_the_sum_bound_are_answered(tmp_path, capsys, argv):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(SUM_EDGE_DOC))
+    assert run(capsys, "validate", str(path))[0] == 0
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "") and json.loads(out)
 
 
 class TestJensen:

@@ -147,6 +147,16 @@ class TestIsConvexSampled:
         for seed in range(5):
             assert is_convex_sampled(convex_ms, 100, 11, seed).convex
 
+    def test_blends_past_the_sum_bound_do_not_raise(self):
+        # two valid nodes whose blends round 1 ulp past the sum bound at
+        # about one interior coordinate in eleven
+        ms = multiset_from_values([0, 1], [
+            [[0.2981919417804871, 0.673293969443177, 0.02851408977633607]],
+            [[0.7854861716415126, 0.14307781977692424, 0.07143600958156326]],
+        ])
+        for seed in range(50):
+            assert is_convex_sampled(ms, 200, 21, seed).convex
+
     def test_finds_bimodal_witness(self, bimodal_ms):
         report = is_convex_sampled(bimodal_ms, 200, 21, seed=0)
         assert not report.convex
@@ -273,7 +283,7 @@ def _outcome(check, *args):
 
 
 # Triples at the sum or range bounds: blends of a triple with itself can
-# round past the bound, which makes evaluate raise.
+# round past the bound, which evaluate returns unchecked.
 _EDGE_TRIPLES = (
     (0.45, 0.05, 0.5000000010000002),
     (0.9, -0.0, 0.10000000100000009),
@@ -1085,6 +1095,13 @@ class TestGradeFieldConstructor:
         with pytest.raises(LengthMismatch):
             GradeField(self._grid(), values)
 
+    @pytest.mark.parametrize("values", [[[[0.1, 0.1, 0.1]], [[0.1, 0.1]]], "a"],
+                             ids=["ragged", "string"])
+    def test_values_that_are_not_a_float_array_raise_length_mismatch(self, values):
+        grid = multiset_from_values((0.0, 1.0), [[[0.1, 0.1, 0.1]]] * 2).grid
+        with pytest.raises(LengthMismatch, match=r"need shape \(2, depth >= 1, 3\)"):
+            GradeField(grid, values)
+
     def test_read_only_float64_array_is_kept_as_given(self, convex_ms):
         values = np.array(self.ROWS)
         values.setflags(write=False)
@@ -1117,6 +1134,17 @@ class TestHullMembership:
         assert out.positive == pytest.approx(expected.positive, **APPROX)
         assert out.neutral == pytest.approx(expected.neutral, **APPROX)
         assert out.negative == pytest.approx(expected.negative, **APPROX)
+
+    @pytest.mark.parametrize("levels, expected", [
+        ([[[1.0 + 1e-9, 0.0, 0.0]]] * 2, (1.0000000019800002, 0.0, 0.0)),
+        ([[[0.25, 0.5, 0.25 + 1e-9]]] * 2, (0.250000000245, 0.50000000049, 0.25000000124500005)),
+    ], ids=["range", "sum"])
+    def test_blend_past_the_bounds_within_the_weight_tolerance(self, levels, expected):
+        # weights summing to 1 + 1.96e-9, inside TOL_SUM, carry a blend of
+        # in-tolerance nodes past the range or sum bound; it is returned
+        ms = multiset_from_values([0.0, 1.0], levels)
+        out = hull_membership_test(ms, [0.0, 1.0], [0.5 + 4.9e-10] * 2, 1)
+        assert out.as_tuple() == expected
 
     def test_gap_against_hull_documented(self, bimodal_ms):
         # the combination grade escapes the positive envelope at the

@@ -858,11 +858,27 @@ def test_evaluate_many_matches_evaluate(points, levels):
     xs = [*points, 0.0, -0.0, lo / 2, hi / 2, lo - slack / 2, hi + slack / 2,
           lo - 2 * slack, hi + 2 * slack, math.inf, -math.inf, math.nan]
     xs += [lo + (hi - lo) * i / 999 for i in range(1000)]
-    grades, ok = ms._evaluate_many(np.array(xs))
+    grades, placed = ms._evaluate_many(np.array(xs))
+    assert placed.shape == (len(xs),)
     for i, x in enumerate(xs):
         for k in range(ms.depth):
-            got = repr(tuple(grades[i, k].tolist())) if ok[i, k] else None
-            assert (bool(ok[i, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+            got = repr(tuple(grades[i, k].tolist())) if placed[i] else None
+            assert (bool(placed[i]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+
+
+def test_evaluate_returns_blends_that_round_past_the_sum_bound():
+    # checked once at construction: a blend of two valid nodes is returned
+    # as computed, though 88 of these sums round 1 ulp past the cap
+    a = (0.2981919417804871, 0.673293969443177, 0.02851408977633607)
+    b = (0.7854861716415126, 0.14307781977692424, 0.07143600958156326)
+    ms = multiset_from_values([0, 1], [[a], [b]])
+    past = 0
+    for i in range(1, 1000):
+        t = i / 1000
+        got = ms.evaluate(t, 1).as_tuple()
+        assert got == tuple((1.0 - t) * u + t * v for u, v in zip(a, b))
+        past += (got[0] + got[1]) + got[2] > 1.0 + TOL_SUM
+    assert past == 88
 
 
 # Four levels: at the range bounds of the positive, neutral and negative
@@ -888,15 +904,17 @@ def test_evaluate_many_matches_evaluate_on_pair_blocks(points):
     shuffled = keys[:]
     random.Random(4).shuffle(shuffled)
     xs = np.array([keys, sorted(keys), sorted(keys, reverse=True), shuffled])
-    grades, ok = ms._evaluate_many(xs)
-    assert grades.shape == xs.shape + (4, 3) and ok.shape == xs.shape + (4,)
+    grades, placed = ms._evaluate_many(xs)
+    assert grades.shape == xs.shape + (4, 3) and placed.shape == xs.shape
     for p, j in itertools.product(*map(range, xs.shape)):
         x = float(xs[p, j])
         for k in range(ms.depth):
-            got = repr(tuple(grades[p, j, k].tolist())) if ok[p, j, k] else None
-            assert (bool(ok[p, j, k]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
-    if len(points) > 1:  # each bound level has blends that round past it
-        assert not ok[..., [0, 2, 3]].all(axis=(0, 1)).any()
+            got = repr(tuple(grades[p, j, k].tolist())) if placed[p, j] else None
+            assert (bool(placed[p, j]), got) == _evaluate_outcome(ms, x, k + 1), (x, k)
+    if len(points) > 1:  # each bound level has blends that round past it,
+        # returned above with evaluate's bits
+        past = (grades > 1.0 + TOL_CMP) | (grades < -TOL_CMP)
+        assert past[..., [0, 2, 3], :].any(axis=(0, 1, 3)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ GradeTriple, jensen_check, hull_membership_test, GradeField.channel_at,
 or a grid constructor).  Its outcome is recorded as the (type, repr) of
 every result field, or as the error class and message, and compared with
 ``point_queries_pinned.json``.  That file was recorded from the plain
-scalar implementation, before the fast paths in GradeTriple and
-DomainGrid.locate existed; it is evidence, not a snapshot to regenerate
-when the test fails.  Messages quote numpy scalars as numpy 2 prints
-them.
+scalar implementation, before the fast paths in GradeTriple (since
+removed) and DomainGrid.locate existed; it is evidence, not a snapshot
+to regenerate when the test fails.  Messages quote numpy scalars as
+numpy 2 prints them.
 
 Inputs cover ints, bools and numpy scalars, NaN, infinities, -0.0,
 coordinates at the slack edges of the domain and 1 ulp beyond them,
@@ -273,11 +273,29 @@ _REFUSED_SINCE_RECORDED = {
 }
 
 
+# Point queries return blends of checked nodes unchecked since the file
+# was recorded (the scalar implementation re-checked them and refused a
+# sum that rounds 1 ulp past its bound); these cases now return.
+_SUM_EDGE_BLEND = [["float", "0.45000000000000007"], ["float", "0.05"],
+                   ["float", "0.5000000010000002"]]
+_ANSWERED_SINCE_RECORDED = {
+    "evaluate/sum-edge/third1/level1": _SUM_EDGE_BLEND,
+    "jensen_check/sum-edge/edges/uneven/level1": [
+        ["bool", "True"], ["int", "1"], ["float", "2.2500000000014997"], _SUM_EDGE_BLEND,
+        [["float", "5.551115123125783e-17"], ["float", "0.0"], ["float", "0.0"]],
+    ],
+}
+
+
 def test_point_queries_pinned():
     expected = json.loads(PINNED.read_text())
     for name, (recorded, message) in _REFUSED_SINCE_RECORDED.items():
         assert expected[name][0] == recorded
         expected[name] = ["raises", "InvalidGrid", message]
+    refused = "positive+neutral+negative = 1.0000000010000003 exceeds 1"
+    for name, fields in _ANSWERED_SINCE_RECORDED.items():
+        assert expected[name] == ["raises", "SumExceedsOne", refused]
+        expected[name] = ["returns", fields]
     got = _outcomes()
     assert sorted(got) == sorted(expected)
     wrong = [name for name in expected if got[name] != expected[name]]
