@@ -16,9 +16,13 @@ import numpy as np
 from .core import (
     CHANNEL_SIGNS,
     TOL_CMP,
+    OutOfUnitInterval,
     PfmsError,
     PictureFuzzyMultiset,
+    PositiveOrderViolation,
     SumExceedsOne,
+    _UNIT_HI,
+    _UNIT_LO,
     _within_sum,
     check_unit,
 )
@@ -81,20 +85,27 @@ def intersection(
     return _pick(a, b, _INTERSECTION)
 
 
-def _summed_in_bound(grid, values: np.ndarray) -> PictureFuzzyMultiset:
-    """The multiset of ``values``, computed from valid triples; where one
-    rounds just above the sum bound, its largest channel is lowered by the
-    fewest ulps that bring the sum back in bound."""
+def _moved_in_bound(grid, values: np.ndarray) -> PictureFuzzyMultiset:
+    """The multiset of ``values``, computed from valid triples; what
+    rounding carried past their range bounds, then their sum bound (the
+    largest channel losing the fewest ulps that bring it back), then their
+    level order's tolerance is moved back onto it, by strict tests."""
     try:
         return PictureFuzzyMultiset(grid, values)
-    except SumExceedsOne:
+    except (OutOfUnitInterval, SumExceedsOne, PositiveOrderViolation):
         pass
     values = values.copy()
+    np.copyto(values, _UNIT_LO, where=values < _UNIT_LO)
+    np.copyto(values, _UNIT_HI, where=values > _UNIT_HI)
     for i, k in np.argwhere(~_within_sum(values)):  # finite: > and not <= agree
         trip = values[i, k]
         while not _within_sum(trip):
             top = trip.argmax()
             trip[top] = np.nextafter(trip[top], -np.inf)
+    positive = values[..., 0]
+    for k in range(1, values.shape[1]):  # level k's cap is level k - 1 as moved back
+        cap = positive[:, k - 1] + TOL_CMP
+        np.copyto(positive[:, k], cap, where=positive[:, k] > cap)
     return PictureFuzzyMultiset(grid, values)
 
 
@@ -106,14 +117,14 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     Ties sort by neutral descending, then negative ascending, and keep
     their level order when all three agree (the sort is stable).  The sum
     bound is checked as (positive + neutral) + negative, so a valid triple
-    can round just above it once swapped (see _summed_in_bound)."""
+    can round just above it once swapped (see _moved_in_bound)."""
     swapped = a.values[..., ::-1]
     if a.depth > 1:
         order = np.lexsort(
             (swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1
         )
         swapped = np.take_along_axis(swapped, order[..., None], axis=1)
-    return _summed_in_bound(a.grid, swapped)
+    return _moved_in_bound(a.grid, swapped)
 
 
 def convex_combination(
@@ -125,11 +136,10 @@ def convex_combination(
     channel by channel and level by level.  lam = 1 returns ``a`` exactly,
     lam = 0 returns ``b`` exactly.
 
-    The result is revalidated: a sum rounded just past the bound is
-    brought back (see _summed_in_bound), and a level-order violation
-    surfaces as PositiveOrderViolation instead of being silently re-sorted.
-    """
+    A blend lies between its operands and keeps their level order, so
+    what rounding carries past the range, sum or order bounds is moved
+    back onto them (see _moved_in_bound)."""
     _check_aligned(a, b)
     lam = check_unit(lam, "lambda")
     mu = 1.0 - lam
-    return _summed_in_bound(a.grid, lam * a.values + mu * b.values)
+    return _moved_in_bound(a.grid, lam * a.values + mu * b.values)

@@ -26,15 +26,10 @@ dips, and writes those rows' envelopes over the window.  Each row sees
 the operations of a scan down the points axis in the same order, so
 results are bit-identical to one, ties between 0.0 and -0.0 included.
 
-A cut reads a level once: three node masks, one per channel, give the
-runs of nodes inside all three channels and the few segments where some
-channel's boundary crosses.  Each such segment is solved as [latest
-channel start, earliest channel end], and kept when every channel holds
-one of its ends; one CutRegion of these pieces and the runs merges the
-pieces that touch.  Ties go to the earlier channel, and a node onto which
-rounding clamps two channels' crossings from its two sides is a piece of
-its own, so the endpoints are those of intersecting the three channels'
-own regions, 0.0 against -0.0 included.
+A cut is the intersection of one upper cut per channel (the negative
+channel negated): _region solves {v >= u} on the segments where that
+channel crosses, and _intersect keeps every overlap of two such regions,
+their first one's endpoints on ties, so CutRegion gets the final pieces.
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
@@ -74,6 +69,7 @@ from .core import (
     TooLarge,
     _GradeArray,
     _blended,
+    _is_int,
     _items,
     _shown,
     _within_sum,
@@ -372,13 +368,11 @@ def is_convex_sampled(
         ("pair_samples", pair_samples, 0, _MAX_PAIR_SAMPLES),
         ("lambda_samples", lambda_samples, 1, _MAX_LAMBDA_SAMPLES),
     ):
-        if not isinstance(count, int) or isinstance(count, bool) or count < least:
-            raise PfmsError(
-                f"{name} must be an integer >= {least}, got {_shown(count)}"
-            )
+        if not _is_int(count) or count < least:
+            raise PfmsError(f"{name} must be an integer >= {least}, got {_shown(count)}")
         if count > most:
             raise TooLarge(f"{name} must be at most {most}, got {_shown(count, str)}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise PfmsError(f"seed must be an integer, got {_shown(seed)}")
     if pair_samples == 0:
         return ConvexityReport(
@@ -441,6 +435,43 @@ def is_convex_sampled(
 # cuts
 
 
+def _region(xs: np.ndarray, v: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """{v >= u} of the channel with node values ``v`` on the coordinates
+    ``xs``, as (starts, ends) of sorted, disjoint, non-touching closed
+    intervals.  Only segments where it crosses ``u`` are solved, each
+    crossing clamped into its segment (np.maximum and np.minimum keep
+    their second operand on ties).  The bits are those of CutRegion
+    merging one piece per segment: an exit solved onto the start of a
+    segment past the first ends at that node, and an exit and an entry
+    rounded onto one node from its two sides merge."""
+    inside = v >= u
+    seg = (inside[:-1] != inside[1:]).nonzero()[0]
+    nxt = seg + 1
+    x0, x1, v0 = xs[seg], xs[nxt], v[seg]
+    xc = np.minimum(x1, np.maximum(x0, x0 + (u - v0) / (v[nxt] - v0) * (x1 - x0)))
+    np.copyto(xc, x0, where=inside[seg] & (xc == x0) & (seg > 0))
+    # starts and ends alternate, from the first node if it is inside
+    bounds = np.concatenate((xs[:1][inside[:1]], xc, xs[-1:][inside[-1:]]))
+    keep = np.ones(len(bounds), dtype=bool)
+    keep[1:-1:2] = keep[2::2] = bounds[2::2] > bounds[1:-1:2]
+    bounds = bounds[keep]
+    return bounds[0::2], bounds[1::2]
+
+
+def _intersect(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Every overlap of an interval of region ``a`` with one of ``b``, both
+    (starts, ends) as _region returns them, in order, keeping ``a``'s
+    endpoints on 0.0/-0.0 ties.  Each interval of ``a`` overlaps the run of
+    ``b``'s from the first ending at or after its start to the last
+    starting at or before its end."""
+    (a0, a1), (b0, b1) = a, b
+    first = b1.searchsorted(a0)
+    count = b0.searchsorted(a1, "right") - first
+    i = np.arange(len(a0)).repeat(count)
+    j = np.arange(len(i)) + (first + count - count.cumsum())[i]
+    return np.maximum(b0[j], a0[i]), np.minimum(b1[j], a1[i])
+
+
 def cut(
     ms: PictureFuzzyMultiset,
     thresholds: CutThresholds | Sequence[float],
@@ -450,9 +481,11 @@ def cut(
 
     The region collects the points whose positive degree reaches ``r``,
     whose neutral degree reaches ``s`` and whose negative degree stays at
-    or below ``t``; it is a finite union of closed intervals with
-    endpoints solved on the segments the cut's boundary crosses.
-    Thresholds other than a CutThresholds must be three values (r, s, t)."""
+    or below ``t``: the intersection of the three channels' own regions,
+    each a finite union of closed intervals with endpoints solved on the
+    segments where that channel crosses its threshold (_region), taken in
+    channel order (_intersect).  Thresholds other than a CutThresholds
+    must be three values (r, s, t)."""
     if not isinstance(thresholds, CutThresholds):
         values = _items(thresholds)  # a number or None counts as one value
         if len(values) != 3:
@@ -460,56 +493,10 @@ def cut(
         thresholds = CutThresholds(*values)
     k = ms.level_index(level)
     xs, grades = ms.grid.coords, ms.values[:, k]
-    r, s, t = thresholds.r, thresholds.s, thresholds.t
-    masks = (grades[:, 0] >= r, grades[:, 1] >= s, grades[:, 2] <= t)
-    seg = np.flatnonzero((masks[0][:-1] != masks[0][1:]) | (masks[1][:-1] != masks[1][1:])
-                         | (masks[2][:-1] != masks[2][1:]))
-    # the crossed segments' ends, the negative channel negated (its bound is -t)
-    bounds, pair = np.array((r, s, -t)), seg[:, None] + (0, 1)
-    x0, x1 = xs[pair, None].transpose(1, 0, 2)
-    v0, v1 = (grades[pair] * CHANNEL_SIGNS).transpose(1, 0, 2)
-    in0, in1 = v0 >= bounds, v1 >= bounds
-    # crossings clamped into their segments (np.maximum and np.minimum keep
-    # their second operand on ties); a non-crossing's quotient is never kept
-    with np.errstate(all="ignore"):
-        xc = np.minimum(x1, np.maximum(x0, x0 + (bounds - v0) / (v1 - v0) * (x1 - x0)))
-    # an exit at x0 of segment b > 0 is x0 (0.0 against -0.0), as b - 1 ends there
-    onto_x0 = xc == x0
-    onto_x0[:1] &= seg[:1, None] > 0
-    start, end = np.where(in0, x0, xc), np.where(in1, x1, np.where(onto_x0, x0, xc))
-    pieces, landed = [], (in0 > in1) & (xc == x1)
-    if landed.any():  # exits rounded onto x1
-        # Such an exit ties with the channels that hold x1, of which only
-        # those ending there count: at the last node, or leaving the next
-        # segment at its start; a channel that also enters the next segment
-        # at x1 goes on.  A node that two channels' exit and entry are
-        # rounded onto from its two sides is a piece of its own.
-        entered, adjacent = (in0 < in1) & (xc == x0), (seg[1:] - seg[:-1] == 1)[:, None]
-        stops = np.zeros_like(in1)
-        stops[:-1] = (in0 > in1)[1:] & onto_x0[1:] & adjacent
-        stops[-1] = seg[-1] + 2 == len(xs)
-        through = landed[:-1] & entered[1:] & adjacent
-        end[in1 & ~stops] = np.inf
-        end[:-1][through] = np.inf
-        start[1:][through] = -np.inf
-        onto = [{*(seg[landed[:, c]] + 1).tolist(), *seg[entered[:, c]].tolist()} for c in range(3)]
-        for j in sorted(set().union(*onto)):
-            held_j = [bool(mask[j]) for mask in masks]
-            if not all(held_j) and all(h or j in o for h, o in zip(held_j, onto)):
-                pieces.append((xs.item(j), xs.item(j)))
-    # the earlier channel wins ties; x0 and x1 bound a piece only where all
-    # channels go past them
-    lo = np.maximum(x0[:, 0], np.maximum(start[:, 2], np.maximum(start[:, 1], start[:, 0])))
-    hi = np.minimum(x1[:, 0], np.minimum(end[:, 2], np.minimum(end[:, 1], end[:, 0])))
-    held = (in0 | in1).all(axis=1) & (lo <= hi)
-    # runs of nodes inside all three channels start and end on crossed
-    # segments or at the grid's ends
-    firsts, lasts = x1[in1.all(axis=1), 0].tolist(), x0[in0.all(axis=1), 0].tolist()
-    firsts[:0] = xs[:1].tolist() if masks[0][0] and masks[1][0] and masks[2][0] else []
-    lasts += xs[-1:].tolist() if masks[0][-1] and masks[1][-1] and masks[2][-1] else []
-    # solved pieces first: the stable sort lets a solved end win a run's tie
-    pieces[:0] = [*zip(lo[held].tolist(), hi[held].tolist()), *zip(firsts, lasts)]
-    return CutRegion(tuple(pieces))
+    region = _intersect(_region(xs, grades[:, 0], thresholds.r), _region(xs, grades[:, 1], thresholds.s))
+    # the negative channel's cut {g <= t} is {-g >= -t}
+    starts, ends = _intersect(region, _region(xs, -grades[:, 2], -thresholds.t))
+    return CutRegion(tuple(zip(starts.tolist(), ends.tolist())))
 
 
 # ---------------------------------------------------------------------------

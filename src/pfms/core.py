@@ -144,6 +144,11 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """The rule for a count, level or seed: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _items(value) -> tuple:
     """The items of ``value`` as a tuple; a number or None, which is not
     iterable, counts as one item."""
@@ -311,7 +316,7 @@ class DomainGrid:
 
 def level_index(level: int, depth: int) -> int:
     """0-based index of a 1-based level, or BadLevel outside 1..depth."""
-    if not isinstance(level, int) or isinstance(level, bool):
+    if not _is_int(level):
         raise BadLevel(f"level must be an integer, got {level!r}")
     if level < 1 or level > depth:
         raise BadLevel(f"level {_shown(level, str)} outside 1..{depth}")

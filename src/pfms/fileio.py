@@ -45,6 +45,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     _check_levels,
+    _is_int,
     _is_real,
     _shown,
     first_invalid_point,
@@ -135,10 +136,8 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     if points is None:  # one by one, raising the first coordinate's error
         points = [_require_number(x, f"domain[{i}]") for i, x in enumerate(domain)]
     depth = doc["depth"]
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-        raise SchemaError(
-            "depth", f"expected a positive integer, got {_shown(depth)}"
-        )
+    if not _is_int(depth) or depth < 1:
+        raise SchemaError("depth", f"expected a positive integer, got {_shown(depth)}")
     elements = doc["elements"]
     if not isinstance(elements, list):
         raise SchemaError("elements", "expected an array")

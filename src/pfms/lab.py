@@ -37,6 +37,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _is_int,
     _is_real,
     _shown,
     multiset_from_values,
@@ -90,7 +91,7 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "grid_size", "depth"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise BadConfig(f"{name} must be an integer, got {value!r}")
         step = self.value_lattice
         if step is not None and not _is_real(step):
@@ -248,7 +249,7 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
     channel.  Neighbouring triples are rescaled as needed so the result
     still satisfies every construction invariant; positive-channel edits
     touch all levels of a point so the level order survives."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise BadConfig(f"seed must be an integer, got {_shown(seed)}")
     if ms.size < 3:
         raise BadConfig("planting a dip needs at least three grid points")
@@ -889,15 +890,13 @@ def run_suite(name: str, trials: int, seed: int = 0) -> SuiteResult:
         raise UnknownSuite(
             f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}"
         )
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise BadConfig(
-            f"trials must be a positive integer, got {_shown(trials)}"
-        )
+    if not _is_int(trials) or trials < 1:
+        raise BadConfig(f"trials must be a positive integer, got {_shown(trials)}")
     if trials > _MAX_TRIALS:
         raise TooLarge(
             f"trials must be at most {_MAX_TRIALS}, got {_shown(trials, str)}"
         )
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise BadConfig(f"seed must be an integer, got {_shown(seed)}")
     try:
         str(seed)  # the report prints it

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from pfms import (
     GridMismatch,
     LengthMismatch,
     PositiveOrderViolation,
+    TOL_CMP,
     TOL_SUM,
     complement,
     convex_combination,
@@ -18,6 +20,7 @@ from pfms import (
     includes,
     intersection,
     multiset_from_values,
+    parse_instance,
     union,
 )
 
@@ -236,6 +239,73 @@ class TestConvexCombination:
         assert (p + n) + g > 1.0 + TOL_SUM
         out = triple_at(convex_combination(single(*a), single(*b), lam))
         assert out == (math.nextafter(p, 0.0), n, g)
+
+    @pytest.mark.parametrize("a, b, lam, moved", [
+        # the neutral blend rounds to -1.0000000000000003e-09, past the range
+        # bound -TOL_CMP, which both operands sit on
+        ([[-1e-09, -1e-09, 1.000000001]], [[1.000000001, -1e-09, -1e-09]], 0.2,
+         (0, 1, -TOL_CMP)),
+        # level 2's positive blend rounds 1.00000006e-09 above level 1's 0.35
+        ([[0.4, 0.1, 0.1], [0.4 + 1e-9, 0.1, 0.1]], [[0.3, 0.2, 0.1], [0.3 + 1e-9, 0.2, 0.1]], 0.5,
+         (1, 0, 0.35 + TOL_CMP)),
+    ])
+    def test_blend_past_a_range_or_order_bound_is_moved_back(self, a, b, lam, moved):
+        a, b = multiset_from_values((0.0,), [a]), multiset_from_values((0.0,), [b])
+        naive = lam * a.values + (1.0 - lam) * b.values
+        out = convex_combination(a, b, lam)
+        k, c, value = moved
+        expected = naive.copy()
+        expected[0, k, c] = value
+        assert out.values.tobytes() == expected.tobytes()
+        assert parse_instance(emit_instance(out)) == out
+
+    @pytest.mark.parametrize("edge", ["sum", "range", "order", "sum-order"])
+    def test_seeded_blends_at_the_edges_are_valid(self, edge):
+        # operands drawn on the sum bound, on the range bounds, with level 2
+        # a tolerance above level 1, or on the sum bound at level 1 with level
+        # 2 a tolerance above it; every blend builds and re-parses
+        rng = random.Random(("sum", "range", "order", "sum-order").index(edge))
+        for _ in range(300):
+            a, b = (_edge_operand(rng, edge) for _ in range(2))
+            out = convex_combination(a, b, rng.random())
+            assert parse_instance(emit_instance(out)) == out
+
+
+def _largest_negative(p, n):
+    """The largest negative degree that the sum bound admits beside p and n."""
+    g = 1.0 + TOL_SUM - (p + n)
+    while (p + n) + g > 1.0 + TOL_SUM:
+        g = math.nextafter(g, 0.0)
+    return g
+
+
+def _edge_operand(rng, edge):
+    """A valid depth-2, three-node multiset whose triples sit at one edge
+    of the validity rules."""
+    nodes = []
+    for _ in range(3):
+        if edge == "sum":
+            levels = []
+            for p in sorted((rng.random() * 0.6 for _ in range(2)), reverse=True):
+                n = rng.random() * (0.9 - p)
+                levels.append([p, n, _largest_negative(p, n)])
+        elif edge == "range":  # one channel at most TOL_CMP above 1, two below 0
+            top = rng.randrange(3)
+            triple = [-TOL_CMP * rng.choice((1.0, rng.random())) for _ in range(3)]
+            triple[top] = 1.0 + TOL_CMP * rng.choice((1.0, rng.random()))
+            low = [-TOL_CMP, rng.random() * 0.5, -TOL_CMP]
+            levels = [triple, low] if top == 0 else [low, triple]
+        elif edge == "sum-order":  # the sum lowers level 1's positive degree
+            p = rng.uniform(0.5, 0.9)
+            n = rng.random() * (1.0 - p)
+            levels = [[p, n, _largest_negative(p, n)], [p + TOL_CMP, 0.0, 0.0]]
+        else:  # level 2's positive degree up to TOL_CMP above level 1's
+            p = rng.random() * 0.5
+            rise = TOL_CMP * rng.choice((1.0, rng.random()))
+            levels = [[p, rng.random() * 0.2, rng.random() * 0.2],
+                      [p + rise, rng.random() * 0.2, rng.random() * 0.2]]
+        nodes.append(levels)
+    return multiset_from_values((0.0, 1.0, 2.0), nodes)
 
 
 class TestSignedZeroTies:

@@ -424,6 +424,27 @@ class TestOp:
         path.write_text(out)
         assert run(capsys, "validate", str(path))[0] == 0
 
+    @pytest.mark.parametrize("a, b, lam", [
+        # the blended neutral degree rounds past the range bound
+        ([[[-1e-09, -1e-09, 1.000000001]]], [[[1.000000001, -1e-09, -1e-09]]], "0.2"),
+        # level 2's blended positive degree rounds past the level order
+        ([[[0.4, 0.1, 0.1], [0.4 + 1e-9, 0.1, 0.1]]], [[[0.3, 0.2, 0.1], [0.3 + 1e-9, 0.2, 0.1]]],
+         "0.5"),
+    ])
+    def test_blend_of_valid_operands_at_the_range_and_order_bounds(self, tmp_path, capsys, a, b, lam):
+        paths = []
+        for name, elements in (("a", a), ("b", b)):
+            path = tmp_path / f"{name}.json"
+            doc = dict(CONVEX_DOC, domain=[0.0], depth=len(elements[0]), elements=elements)
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "validate", str(path))[0] == 0
+            paths.append(str(path))
+        code, out, err = run(capsys, "op", "blend", *paths, "--lambda", lam)
+        assert (code, err) == (0, "")
+        path = tmp_path / "blend.json"
+        path.write_text(out)
+        assert run(capsys, "validate", str(path))[0] == 0
+
     def test_complement_rejects_second_operand(self, files, capsys):
         code, _, err = run(
             capsys, "op", "complement", files["convex"], files["bimodal"]

@@ -36,7 +36,7 @@ from pfms import (
 )
 from pfms import convexity
 from pfms.convexity import GradeField, _majorant, _worst_dip
-from pfms.lab import _dips, _hull_law_violation
+from pfms.lab import GeneratorConfig, _dips, _hull_law_violation, gen_pfms, plant_dip
 
 APPROX = dict(abs=1e-12)
 
@@ -799,6 +799,29 @@ class TestCutDifferential:
         assert got == [(a.hex(), b.hex()) for a, b in expected]
         assert got == _region_outcome(_reference_cut, ms, (0.0, 0.0, 0.0), 1)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_large_noisy_rows_match_scalar_reference(self, seed):
+        # m = 300-2,000 nodes on an ulp lattice (every crossing rounds onto a
+        # node), around a -0.0 node or on the integers, with grades on a
+        # lattice spaced 5e-324, 1e-310, 1e-300 or 1/8 and thresholds at node
+        # values or their neighbours: the cut has tens to hundreds of pieces
+        rng = random.Random(seed)
+        m = rng.randint(300, 2000)
+        points = (
+            [2.0**52 + i for i in range(m)],
+            [float(i - m // 2) or -0.0 for i in range(m)],
+            [float(i) for i in range(m)],
+        )[seed % 3]
+        step = (5e-324, 1e-310, 1e-300, 0.125)[seed % 4]
+        lattice = (-0.0, 0.0, step, 2 * step)
+        ms = multiset_from_values(points, [[[rng.choice(lattice) for _ in range(3)]] for _ in range(m)])
+        up, down = math.nextafter(step, 1.0), math.nextafter(step, 0.0)
+        thresholds = (rng.choice((step, up, down)), rng.choice((step, up, down, -0.0)),
+                      rng.choice((0.0, -0.0, step, down)))
+        got = _region_outcome(cut, ms, thresholds, 1)
+        assert got == _region_outcome(_reference_cut, ms, thresholds, 1)
+        assert len(got) >= 10
+
 
 class TestCut:
     def test_worked_example(self, convex_ms):
@@ -853,6 +876,41 @@ class TestCut:
             base = cut(ms, (0.2, 0.05, 0.5), 1)
             tighter = cut(ms, (0.35, 0.1, 0.35), 1)
             assert region_subset(tighter, base)
+
+
+def _node_value_cuts(ms, level):
+    """Pieces of every single-channel cut at one of the level's node
+    values, the other thresholds at 0, 0 and 1, by channel."""
+    counts = {name: [] for name in CHANNELS}
+    for c, name in enumerate(CHANNELS):
+        for v in ms.values[:, level - 1, c].tolist():
+            thresholds = [0.0, 0.0, 1.0]
+            thresholds[c] = v
+            counts[name].append(len(cut(ms, thresholds, level).intervals))
+    return counts
+
+
+class TestCutTheorem:
+    """Zadeh's cut theorem on the library's own cut: a level is convex
+    exactly when every cut is an interval, so each node-value cut of one
+    channel of a convex instance is at most one interval, and a dip splits
+    some cut of the level and channel of the exact check's witness."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 4),
+           st.sampled_from((None, 0.05)))
+    def test_convex_cuts_are_intervals_and_a_dip_splits_one(self, seed, m, depth, lattice):
+        ms = gen_pfms(GeneratorConfig(seed=seed, grid_size=m, depth=depth,
+                                      value_lattice=lattice, convex_only=True))
+        for level in range(1, depth + 1):
+            for counts in _node_value_cuts(ms, level).values():
+                assert max(counts) <= 1
+        if m < 3:
+            return
+        planted = plant_dip(ms, seed=seed)
+        witness = is_convex_exact(planted).witness
+        counts = _node_value_cuts(planted, witness.level)
+        assert max(counts[witness.channel]) >= 2
 
 
 class TestCutsAllConvex:
@@ -974,6 +1032,22 @@ class TestJensen:
         # a sum that fsum can take whole keeps its bits
         report = jensen_check(ms, [top, sign * 1e308], [0.5, 0.5], 1)
         assert report.point == math.fsum([0.5 * top, sign * 0.5e308])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100, 255, 256, 300])
+def test_numpy_signed_zero_tie_rules(n):
+    # _majorant, _region and _intersect rest on these rules for their 0.0
+    # and -0.0 bits; lengths past the vector width run the SIMD loops too
+    a = np.where(np.random.default_rng(n).random(n) < 0.5, 0.0, -0.0)
+    b = -a
+    for x, y in ((a, b), (b, a), (a, np.zeros(n)), (np.zeros(n), a)):
+        assert np.signbit(np.maximum(x, y)).tolist() == np.signbit(y).tolist()
+        assert np.signbit(np.minimum(x, y)).tolist() == np.signbit(y).tolist()
+    rows = np.stack((a, b, a[::-1]))
+    for values in (a, b, a[::-1], rows, rows[:, ::-1]):
+        # a running maximum over ties keeps the current element
+        kept = np.maximum.accumulate(values, axis=-1)
+        assert np.signbit(kept).tolist() == np.signbit(values).tolist()
 
 
 class TestEnvelopes:
