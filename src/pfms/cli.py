@@ -65,10 +65,6 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _intervals(region) -> list[list[float]]:
-    return [[a, b] for a, b in region.intervals]
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     text = _read_text(args.file)
     try:
@@ -102,7 +98,7 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
         {
             "convex": report.convex,
             "mode": args.mode,
-            "levels": list(report.levels),
+            "levels": report.levels,
             "vacuous": report.vacuous,
             "witness": report.witness and report.witness.to_dict(),
         }
@@ -114,17 +110,10 @@ def _cmd_cut(args: argparse.Namespace) -> int:
     ms = _load(args.file)
     thresholds = CutThresholds(args.r, args.s, args.t)
     if args.level is not None:
-        region = cut(ms, thresholds, args.level)
-        _emit({"intervals": _intervals(region)})
+        _emit({"intervals": cut(ms, thresholds, args.level).intervals})
     else:
-        _emit(
-            {
-                "levels": {
-                    str(level): _intervals(cut(ms, thresholds, level))
-                    for level in range(1, ms.depth + 1)
-                }
-            }
-        )
+        levels = range(1, ms.depth + 1)
+        _emit({"levels": {str(k): cut(ms, thresholds, k).intervals for k in levels}})
     return 0
 
 
@@ -133,7 +122,7 @@ def _cmd_hull(args: argparse.Namespace) -> int:
     field = convex_hull(ms)
     _emit(
         {
-            "domain": list(field.grid.points),
+            "domain": field.grid.points,
             "values": field.values.tolist(),
             "valid": field.mask.tolist(),
             "fully_valid": field.fully_valid,
@@ -172,8 +161,8 @@ def _cmd_jensen(args: argparse.Namespace) -> int:
             "ok": report.ok,
             "level": report.level,
             "point": report.point,
-            "grades": list(report.grades.as_tuple()),
-            "slacks": list(report.slacks),
+            "grades": report.grades.as_tuple(),
+            "slacks": report.slacks,
         }
     )
     return 0 if report.ok else 1

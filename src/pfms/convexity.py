@@ -29,7 +29,8 @@ results are bit-identical to one, ties between 0.0 and -0.0 included.
 A cut is the intersection of one upper cut per channel (the negative
 channel negated): _region solves {v >= u} on the segments where that
 channel crosses, and _intersect keeps every overlap of two such regions,
-their first one's endpoints on ties, so CutRegion gets the final pieces.
+their first one's endpoints on ties; these final pieces are sorted,
+disjoint and non-touching, so cut returns them unchecked (_final_region).
 
 The sampled check draws its coordinate pairs from a seeded generator in
 blocks of at most _BLOCK_POINTS coordinates (pair ends and blend
@@ -69,6 +70,7 @@ from .core import (
     TooLarge,
     _GradeArray,
     _blended,
+    _final_region,
     _is_int,
     _items,
     _shown,
@@ -485,7 +487,9 @@ def cut(
     each a finite union of closed intervals with endpoints solved on the
     segments where that channel crosses its threshold (_region), taken in
     channel order (_intersect).  Thresholds other than a CutThresholds
-    must be three values (r, s, t)."""
+    must be three values (r, s, t).  An endpoint solved on [x0, x1] lies
+    within 2 * 2**-52 * max(|x0|, |x1|, x1 - x0) of its channel's exact
+    crossing, so pieces or gaps shorter than that may merge, appear or vanish."""
     if not isinstance(thresholds, CutThresholds):
         values = _items(thresholds)  # a number or None counts as one value
         if len(values) != 3:
@@ -495,8 +499,7 @@ def cut(
     xs, grades = ms.grid.coords, ms.values[:, k]
     region = _intersect(_region(xs, grades[:, 0], thresholds.r), _region(xs, grades[:, 1], thresholds.s))
     # the negative channel's cut {g <= t} is {-g >= -t}
-    starts, ends = _intersect(region, _region(xs, -grades[:, 2], -thresholds.t))
-    return CutRegion(tuple(zip(starts.tolist(), ends.tolist())))
+    return _final_region(*_intersect(region, _region(xs, -grades[:, 2], -thresholds.t)))
 
 
 # ---------------------------------------------------------------------------

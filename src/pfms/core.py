@@ -29,7 +29,9 @@ only their arguments and return blends of checked nodes unchecked
 (_blended), in the range and sum bounds up to one blend's rounding.
 GradeTriple is a frozen slots dataclass whose hand-written __init__, the
 one checked path for triples from outside, stores the fields through the
-slots' member descriptors, not through the frozen __setattr__.
+slots' member descriptors, not through the frozen __setattr__.  So does
+CutRegion's: its constructor checks lists from outside, and convexity.cut
+stores its final pieces unchecked (_final_region).
 DomainGrid.locate passes a Python float inside the widened ends with one
 chained comparison and any other input through the full checks; evaluate
 checks a plain int level inline and leaves the rest to level_index.  It
@@ -611,7 +613,8 @@ class CutThresholds:
 class CutRegion:
     """A finite union of closed intervals with finite endpoints, kept
     sorted, disjoint and non-adjacent (touching intervals are merged on
-    construction).  Degenerate single-point intervals are allowed."""
+    construction).  Degenerate single-point intervals are allowed.  Only
+    the constructor checks: cut returns its pieces unchecked (_final_region)."""
 
     intervals: tuple[tuple[float, float], ...]
 
@@ -623,14 +626,11 @@ class CutRegion:
                 a, b = pair
             except (TypeError, ValueError):
                 raise MalformedRegion(f"interval {pair!r} is not a pair of endpoints") from None
-            if not (type(a) is float and type(b) is float):
-                for x in filterfalse(_is_real, (a, b)):
-                    raise MalformedRegion(f"interval endpoint {x!r} is not a real number")
-                a, b = _float_or_inf(a), _float_or_inf(b)
+            for x in filterfalse(_is_real, (a, b)):
+                raise MalformedRegion(f"interval endpoint {x!r} is not a real number")
+            a, b = _float_or_inf(a), _float_or_inf(b)
             if not lo < a <= b < hi:
-                raise MalformedRegion(
-                    f"interval [{a!r}, {b!r}] is reversed or not finite"
-                )
+                raise MalformedRegion(f"interval [{a!r}, {b!r}] is reversed or not finite")
             raw.append((a, b))
         raw.sort()
         merged: list[tuple[float, float]] = []
@@ -641,3 +641,13 @@ class CutRegion:
             else:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
+
+
+_set_intervals = CutRegion.__dict__["intervals"].__set__
+
+
+def _final_region(starts: np.ndarray, ends: np.ndarray) -> CutRegion:
+    """cut's sorted, disjoint, non-touching pieces, not re-checked."""
+    region = object.__new__(CutRegion)
+    _set_intervals(region, tuple(zip(starts.tolist(), ends.tolist())))
+    return region

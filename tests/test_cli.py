@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from _regions import assert_canonical
 from pfms import (
     PfmsError,
     complement,
     convex_combination,
+    cut,
     emit_instance,
     intersection,
     parse_instance,
@@ -348,6 +350,9 @@ def test_fragmented_cut_stdout_bytes_pinned(tmp_path, capsys, level):
         pieces = doc["intervals"] if level else doc["levels"]["1"]
         signs = [(math.copysign(1.0, a), math.copysign(1.0, b)) for a, b in pieces if a == b == 0.0]
         assert len(pieces) == 59 and signs == [(1.0, -1.0)]
+    ms = parse_instance(path.read_text())
+    for k in (int(level),) if level else range(1, ms.depth + 1):
+        assert_canonical(cut(ms, (0.4, 0.1, 0.0), k))
 
 
 class TestHull:

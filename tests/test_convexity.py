@@ -3,11 +3,14 @@ import math
 import pickle
 import random
 import tracemalloc
+from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from _regions import assert_canonical
 from pfms import (
     CHANNELS,
     TOL_CMP,
@@ -36,6 +39,7 @@ from pfms import (
 )
 from pfms import convexity
 from pfms.convexity import GradeField, _majorant, _worst_dip
+from pfms.core import CHANNEL_SIGNS
 from pfms.lab import GeneratorConfig, _dips, _hull_law_violation, gen_pfms, plant_dip
 
 APPROX = dict(abs=1e-12)
@@ -662,6 +666,97 @@ class TestExactDifferential:
         assert bool(hull.mask[:, -1].all()) is (kind != "sum-break")
 
 
+def _sweep_dips(row):
+    """Whether a row signed by CHANNEL_SIGNS dips, by Zadeh's cut theorem
+    and no running maximum: the cut at the p-th largest value holds the
+    top p nodes and spans the least to the greatest of their indices, and
+    the row dips when some span's least node lies more than TOL_CMP below
+    that value.  A sparse table of range minima answers every span."""
+    order = np.argsort(-row, kind="stable")
+    lo, hi = np.minimum.accumulate(order), np.maximum.accumulate(order)
+    table = [row]
+    while 2 ** len(table) <= len(row):
+        half = 2 ** (len(table) - 1)
+        table.append(np.minimum(table[-1][:-half], table[-1][half:]))
+    table = np.array([np.pad(t, (0, len(row) - len(t)), constant_values=np.inf) for t in table])
+    j = np.frexp(hi - lo + 1)[1] - 1  # the largest power of two in each span
+    least = np.minimum(table[j, lo], table[j, hi - 2**j + 1])
+    return bool((row[order] - least > TOL_CMP).any())
+
+
+def _sweep_row(rng, m, kind):
+    """One row in [0, 0.25] before signing: unimodal with 0.0/-0.0
+    plateaus, the same with dips 0.5 or 2 x TOL_CMP deep at nodes on a
+    plateau of at least 0.125, or noise with many dips."""
+    if rng.random() < 0.5:
+        row = rng.choice([0.0, -0.0, 0.125, 0.25], m)
+    else:
+        row = rng.uniform(0.0, 0.25, m)
+    if kind == "noisy":
+        return row
+    peak = rng.choice((0, m, rng.integers(0, m + 1)))  # monotone, or rising then falling
+    row = np.concatenate((np.sort(row[:peak]), np.sort(row[peak:])[::-1]))
+    if kind != "unimodal":
+        for i in rng.integers(1, m - 1, rng.integers(1, 6)):
+            if min(row[i - 1], row[i + 1]) >= 0.125:
+                row[i] = min(row[i - 1], row[i + 1]) - (0.5 if kind == "shallow" else 2.0) * TOL_CMP
+    return row
+
+
+@st.composite
+def _sweep_cases(draw):
+    depth = draw(st.integers(1, 8))
+    m = draw(st.integers(-(-768 // depth), 4096 // depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # every row within the tolerance, or any mix
+    kinds = st.sampled_from(("unimodal", "shallow") + draw(st.sampled_from(((), ("noisy", "deep")))))
+    values = np.empty((m, depth, 3))
+    top = _sweep_row(rng, m, draw(kinds))
+    for k in range(depth):
+        # halving keeps the positive rows' shape and order; a row of the
+        # negative channel is 0.25 minus a drawn one, so it dips upwards
+        values[:, k, 0] = top * 0.5**k
+        values[:, k, 1] = _sweep_row(rng, m, draw(kinds))
+        values[:, k, 2] = 0.25 - _sweep_row(rng, m, draw(kinds))
+    zeros = values == 0.0
+    values[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return multiset_from_values([float(x) for x in range(m)], values.tolist())
+
+
+class TestCutSweep:
+    """The cut-theorem sweep (_sweep_dips) as an independent decider above
+    the row-test gate, where the exact check scans only the rows that rise
+    after a fall, over their window."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_sweep_cases())
+    def test_levels_match_the_exact_check(self, ms):
+        assert ms.size * ms.depth >= convexity._ROW_TEST_TRIPLES
+        signed = ms.values * CHANNEL_SIGNS
+        levels = tuple(
+            not any(_sweep_dips(signed[:, k, c]) for c in range(3)) for k in range(ms.depth)
+        )
+        report = is_convex_exact(ms)
+        assert report.levels == levels and report.convex is all(levels)
+        w = report.witness
+        if w is not None:
+            lhs = ms.evaluate((1.0 - w.lam) * w.x + w.lam * w.y, w.level).channel(w.channel)
+            ends = [ms.evaluate(x, w.level).channel(w.channel) for x in (w.x, w.y)]
+            if w.channel == "negative":
+                assert lhs > max(ends) + TOL_CMP
+            else:
+                assert lhs < min(ends) - TOL_CMP
+
+    @pytest.mark.parametrize("dip", [0.5, 1.0, 2.0])
+    def test_a_planted_dip_near_the_tolerance_edge(self, dip):
+        row = np.full(800, 0.25)
+        row[400] -= dip * TOL_CMP
+        dips = not is_convex_exact(positive_only(range(800), row.tolist())).convex
+        assert _sweep_dips(row) is dips is bool(0.25 - row[400] > TOL_CMP)
+        assert dips is (dip == 2.0)
+        assert _sweep_dips(-row) is False  # a bump, not a dip
+
+
 def _reference_upper(xs, vs, threshold):
     """{x : v(x) >= threshold} as one piece per segment that meets it,
     each crossing solved and clamped into its segment, merged by
@@ -754,6 +849,7 @@ class TestCutDifferential:
         ms = multiset_from_values(points, values)
         expected = _region_outcome(_reference_cut, ms, thresholds, level)
         assert _region_outcome(cut, ms, thresholds, level) == expected
+        assert_canonical(cut(ms, thresholds, level))
 
     @pytest.mark.parametrize("points, values, thresholds, expected", [
         # crossings of two channels rounded onto one node from its two
@@ -821,6 +917,137 @@ class TestCutDifferential:
         got = _region_outcome(cut, ms, thresholds, 1)
         assert got == _region_outcome(_reference_cut, ms, thresholds, 1)
         assert len(got) >= 10
+        assert_canonical(cut(ms, thresholds, 1))
+
+
+_EPS = Fraction(1, 2**52)
+# thresholds every node meets: each cut of one channel alone
+_VACUOUS = (-TOL_CMP, -TOL_CMP, 1.0 + TOL_CMP)
+
+
+def _exact_channel(xs, vs, u):
+    """{v >= u} of the channel through the rational nodes (xs, vs), solved
+    exactly: per piece its ends, its first node and, per end, the bound
+    2 eps max(|x0|, |x1|, x1 - x0) of the segment [x0, x1] the end was
+    solved on (0 for a grid end)."""
+    def crossing(i):  # strictly inside segment i, as v[i] and v[i + 1] straddle u
+        x0, x1, v0, v1 = xs[i], xs[i + 1], vs[i], vs[i + 1]
+        return x0 + (u - v0) / (v1 - v0) * (x1 - x0), 2 * _EPS * max(abs(x0), abs(x1), x1 - x0)
+
+    pieces = []
+    for inside, run in groupby(range(len(xs)), key=lambda i: vs[i] >= u):
+        run = list(run)
+        if inside:
+            start = (xs[0], 0) if run[0] == 0 else crossing(run[0] - 1)
+            end = (xs[-1], 0) if run[-1] == len(xs) - 1 else crossing(run[-1])
+            pieces.append((start, end, run[0]))
+    return pieces
+
+
+def _exact_intersect(mine, theirs):
+    """Two lists of rational pieces intersected exactly."""
+    out, i, j = [], 0, 0
+    while i < len(mine) and j < len(theirs):
+        lo, hi = max(mine[i][0], theirs[j][0]), min(mine[i][1], theirs[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if mine[i][1] < theirs[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _ulps(v, k):
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+@st.composite
+def _rational_cases(draw):
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        unit = [float(i) for i in range(m)]
+    else:
+        unit = [0.0]
+        for step in draw(st.lists(st.floats(0.01, 3.0), min_size=m - 1, max_size=m - 1)):
+            unit.append(unit[-1] + step)
+    scale = 10.0 ** draw(st.integers(-6, 9))
+    offset = draw(st.one_of(st.sampled_from((0.0, -1e6, 1e6)), st.floats(-1e6, 1e6)))
+    points = [offset + scale * x for x in unit]
+    zero = draw(st.sampled_from((None, "node", "segment")))
+    if zero and m > 1:  # 0 at a node, as -0.0, or inside a segment
+        k = draw(st.integers(0, m - 2))
+        mid = points[k] if zero == "node" else (points[k] + points[k + 1]) / 2
+        points = [x - mid for x in points]
+        if zero == "node":
+            points[k] = -0.0
+    rows = []
+    for _ in range(3):
+        v, row = draw(st.floats(0.0, 0.33)), []
+        for _ in range(m):
+            step = draw(st.sampled_from(("new", "same", "ulps", "zero")))
+            if step == "new":
+                v = draw(st.floats(0.0, 0.33))
+            elif step == "ulps":  # a near-flat segment
+                v = min(max(_ulps(v, draw(st.integers(-4, 4))), 0.0), 0.33)
+            elif step == "zero":
+                v = draw(st.sampled_from((0.0, -0.0)))
+            row.append(v)
+        rows.append(row)
+    thresholds = tuple(
+        draw(st.one_of(
+            # within a few ulps of a node value
+            st.builds(_ulps, st.sampled_from(row), st.integers(-3, 3)).map(lambda v: min(max(v, 0.0), 0.33)),
+            st.floats(0.0, 0.33),
+            st.sampled_from((0.0, -0.0)),
+        ))
+        for row in rows
+    )
+    return points, [[[p, n, g]] for p, n, g in zip(*rows)], thresholds
+
+
+class TestCutExactRationals:
+    """cut against fractions.Fraction: every crossing of one channel solved
+    exactly, and the cut the exact intersection of the three channels' cuts."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_rational_cases())
+    # on a segment across 0 the error exceeds 2 eps max(|x0|, |x1|) (by
+    # 1.08x here): x1 - x0 is the larger operand of the solve
+    @example(([-15.0, -5.0, 5.0, 15.0],
+              [[[0.0, 0.07310188688719367, 0.0]], [[0.0, 0.07310188688719367, 0.0]],
+               [[0.0, 0.25, 0.0]], [[0.0, 0.25, 0.0]]],
+              (0.0, 0.24999999999999992, 0.0)))
+    def test_endpoints_within_the_documented_bound(self, case):
+        points, values, thresholds = case
+        ms = multiset_from_values(points, values)
+        xs = [Fraction(x) for x in ms.grid.points]
+        channels = []
+        for c, sign in enumerate((1, 1, -1)):
+            alone = list(_VACUOUS)
+            alone[c] = thresholds[c]
+            got = cut(ms, alone, 1).intervals
+            nodes = [sign * Fraction(v) for v in ms.values[:, 0, c].tolist()]
+            exact = _exact_channel(xs, nodes, sign * Fraction(thresholds[c]))
+            # each exact piece holds a node, and so lies in one piece of got;
+            # consecutive ones share a piece only where their gap is within
+            # the bounds of its two ends
+            owner = [next(k for k, (a, b) in enumerate(got) if a <= ms.grid.points[i] <= b)
+                     for _, _, i in exact]
+            assert sorted(set(owner)) == list(range(len(got))) and owner == sorted(owner)
+            for k, (a, b) in enumerate(got):
+                run = [piece for piece, o in zip(exact, owner) if o == k]
+                (start, start_bound), (end, end_bound) = run[0][0], run[-1][1]
+                assert abs(Fraction(a) - start) <= start_bound
+                assert abs(Fraction(b) - end) <= end_bound
+                for before, after in zip(run, run[1:]):
+                    assert after[0][0] - before[1][0] <= before[1][1] + after[0][1]
+            channels.append([(Fraction(a), Fraction(b)) for a, b in got])
+        region = _exact_intersect(_exact_intersect(channels[0], channels[1]), channels[2])
+        got = cut(ms, thresholds, 1).intervals
+        assert [(Fraction(a), Fraction(b)) for a, b in got] == region
 
 
 class TestCut:
