@@ -6,7 +6,8 @@ negative channels and restores the level order.  Convex combinations mix
 two multisets with one scalar weight applied uniformly to all channels.
 All binary operations require identical grids and depths and never mutate
 their arguments.  Each operation is a few whole-array numpy expressions
-over the operands' (points, levels, 3) value arrays.
+over the operands' (points, levels, 3) value arrays.  Union, intersection
+and complement (after one sum test) return their results unchecked.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     SumExceedsOne,
     _UNIT_HI,
     _UNIT_LO,
+    _derived,
     _within_sum,
     check_unit,
 )
@@ -67,10 +69,14 @@ def _pick(
     a: PictureFuzzyMultiset, b: PictureFuzzyMultiset, sign: np.ndarray
 ) -> PictureFuzzyMultiset:
     """Per entry, ``b``'s value where it beats ``a``'s strictly along
-    ``sign``, else ``a``'s: ties keep the first operand, as max and min do."""
+    ``sign``, else ``a``'s: ties keep the first operand, as max and min do.
+    Entries of valid operands keep the range bounds, and as rounding is
+    monotone a triple's sum is at most that of the operand whose positive
+    (union) or negative (intersection) degree it took, and the level order
+    holds as it does in both operands; so the result is not re-checked."""
     _check_aligned(a, b)
     va, vb = a.values, b.values
-    return PictureFuzzyMultiset(a.grid, np.where(vb * sign > va * sign, vb, va))
+    return _derived(a.grid, np.where(vb * sign > va * sign, vb, va))
 
 
 def union(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
@@ -115,15 +121,18 @@ def complement(a: PictureFuzzyMultiset) -> PictureFuzzyMultiset:
     The swap itself is exact; re-sorting is required because the new
     positive channel (the old negative one) carries no order guarantee.
     Ties sort by neutral descending, then negative ascending, and keep
-    their level order when all three agree (the sort is stable).  The sum
-    bound is checked as (positive + neutral) + negative, so a valid triple
-    can round just above it once swapped (see _moved_in_bound)."""
+    their level order when all three agree (the sort is stable).  The swap
+    keeps the range bounds and the sort the level order, so only the sum
+    bound is tested: a valid triple can round just above it once swapped,
+    as it is (positive + neutral) + negative (see _moved_in_bound)."""
     swapped = a.values[..., ::-1]
     if a.depth > 1:
         order = np.lexsort(
             (swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1
         )
-        swapped = np.take_along_axis(swapped, order[..., None], axis=1)
+        swapped = swapped[np.arange(len(order))[:, None], order]
+    if _within_sum(swapped).all():  # copies only the depth-1 swap, a view
+        return _derived(a.grid, np.ascontiguousarray(swapped))
     return _moved_in_bound(a.grid, swapped)
 
 

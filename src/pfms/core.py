@@ -26,7 +26,9 @@ ends widened by the boundary slack, so array code and point queries
 read them instead of rebuilding them.
 Grades are checked once, when an instance is built: point queries check
 only their arguments and return blends of checked nodes unchecked
-(_blended), in the range and sum bounds up to one blend's rounding.
+(_blended), in the range and sum bounds up to one blend's rounding;
+union, intersection, complement (after one sum test) and the lab's level
+slices keep every bound by construction and are not re-checked (_derived).
 GradeTriple is a frozen slots dataclass whose hand-written __init__, the
 one checked path for triples from outside, stores the fields through the
 slots' member descriptors, not through the frozen __setattr__.  So does
@@ -573,6 +575,19 @@ class PictureFuzzyMultiset(_GradeArray):
 
 
 _set_flat = PictureFuzzyMultiset.__dict__["_flat"].__set__
+_set_grid = _GradeArray.__dict__["grid"].__set__
+_set_values = _GradeArray.__dict__["values"].__set__
+
+
+def _derived(grid: DomainGrid, values: np.ndarray) -> PictureFuzzyMultiset:
+    """A multiset of ``values``, a fresh C-ordered float64 array computed
+    from checked grades by steps that keep every bound, not re-checked."""
+    values.setflags(write=False)
+    ms = object.__new__(PictureFuzzyMultiset)
+    _set_grid(ms, grid)
+    _set_values(ms, values)
+    _set_flat(ms, memoryview(values.ravel()))
+    return ms
 
 
 def multiset_from_values(

@@ -17,6 +17,10 @@ candidate value, rising or falling) states rather than by the
 running-maximum construction; the hull-properties suite tests unimodality
 with its own scalar scan; and the cut scan decides convexity from
 threshold cuts instead of node shapes.
+
+The generators draw every integer through ``_below``, CPython's rejection
+loop over ``getrandbits`` behind ``randrange`` and ``randint`` without
+their argument checks, so the draws and the pinned report digests are theirs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .core import (
     PfmsError,
     PictureFuzzyMultiset,
     TooLarge,
+    _derived,
     _is_int,
     _is_real,
     _shown,
@@ -70,6 +75,17 @@ _MAX_TRIALS = 100_000  # largest trial count run_suite accepts
 # mirror the negative channel with it rather than import core.CHANNEL_SIGNS,
 # so that they share no code with the checks they test
 _SIGNS = (1.0, 1.0, -1.0)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for an int n >= 1, as CPython 3.10-3.13 draws it
+    (Random._randbelow_with_getrandbits); ``rng.randint(lo, hi)`` is
+    ``lo + _below(rng, hi - lo + 1)``."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +138,13 @@ def _profile(
     cap: float,
     valley: bool = False,
 ) -> list[float]:
-    """``m`` values turning at node ``rng.randrange(m)``, which takes the
+    """``m`` values turning at node ``_below(rng, m)``, which takes the
     value ``apex(cap)``; the others come from ``draw`` (``rng.uniform``, or
-    ``rng.randint`` with int bounds), left of the turn first.  A ramp rises
+    randint's draw between int bounds), left of the turn first.  A ramp rises
     to its apex and then falls, within [0, apex]: quasi-concave by
     construction.  A valley falls to it and then rises, within [apex, cap]:
     quasi-convex."""
-    turn = rng.randrange(m)
+    turn = _below(rng, m)
     top = apex(cap)
     lo, hi = (top, cap) if valley else (0, top)
     left = sorted((draw(lo, hi) for _ in range(turn)), reverse=valley)
@@ -163,7 +179,8 @@ def _convex_lattice_values(
     # Channel caps 0.5/0.3/0.2 keep every node sum at or below one without
     # any rescaling, so the values stay exact lattice multiples.  The
     # profiles count steps, in ints.
-    draw, apex = rng.randint, functools.partial(rng.randint, 0)
+    draw = lambda lo, hi: lo + _below(rng, hi - lo + 1)  # rng.randint(lo, hi)
+    apex = lambda cap: _below(rng, cap + 1)  # rng.randint(0, cap)
     k_pos, k_neu, k_neg = (int(cap / step + 1e-9) for cap in (0.5, 0.3, 0.2))
     pos = _profile(rng, m, draw, apex, k_pos)
     neu = [_profile(rng, m, draw, apex, k_neu) for _ in range(depth)]
@@ -195,9 +212,9 @@ def _random_lattice_values(
         trips = []
         for _ in range(depth):
             while True:
-                a = rng.randint(0, top)
-                b = rng.randint(0, top)
-                c = rng.randint(0, top)
+                a = _below(rng, top + 1)
+                b = _below(rng, top + 1)
+                c = _below(rng, top + 1)
                 if a + b + c <= top:
                     break
             trips.append((a, b, c))
@@ -255,8 +272,8 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
         raise BadConfig("planting a dip needs at least three grid points")
     rng = random.Random(seed)
     channel = rng.choice(CHANNELS)
-    node = rng.randrange(1, ms.size - 1)
-    level = ms.depth - 1 if channel == "positive" else rng.randrange(ms.depth)
+    node = 1 + _below(rng, ms.size - 2)
+    level = ms.depth - 1 if channel == "positive" else _below(rng, ms.depth)
     raw = ms.values.tolist()
 
     if channel == "positive":
@@ -299,6 +316,15 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
 # oracles
 
 
+# oracle_convexity's lattice pairs (i, j), i < j, and the fine index
+# (K - k)*i + k*j of each pair's blend at weight k/K (j and i at weight
+# 1 - k/K give the same index): no instance moves them, so they are built once
+_ORACLE_I, _ORACLE_J = np.triu_indices(_ORACLE_POINTS, 1)
+_ORACLE_BLEND = np.arange(_ORACLE_WEIGHTS)[:, None] * (_ORACLE_J - _ORACLE_I)
+_ORACLE_BLEND += (_ORACLE_WEIGHTS - 1) * _ORACLE_I
+_ORACLE_I.flags.writeable = _ORACLE_J.flags.writeable = _ORACLE_BLEND.flags.writeable = False
+
+
 def oracle_convexity(ms: PictureFuzzyMultiset) -> bool:
     """Brute-force the segment inequalities on a uniform coordinate lattice.
 
@@ -309,25 +335,18 @@ def oracle_convexity(ms: PictureFuzzyMultiset) -> bool:
     blend of points i and j at weight k/K is point (K - k)*i + k*j of the
     K times finer lattice, so each channel is interpolated once on that
     finer lattice and every blend and lattice value is gathered from it
-    by index."""
+    by index (_ORACLE_BLEND)."""
     if ms.size == 1:
         return True
-    xs = np.asarray(ms.grid.points)
-    steps, ks = _ORACLE_WEIGHTS - 1, np.arange(_ORACLE_WEIGHTS)
-    fine = np.linspace(ms.grid.lo, ms.grid.hi, (_ORACLE_POINTS - 1) * steps + 1)
-    # blend[k, p] is the fine index (K - k)*i + k*j of the blend of pair
-    # p = (i, j), i < j, at weight k/K: j and i at weight 1 - k/K give the
-    # same index, and a point blended with itself is itself
-    i, j = np.triu_indices(_ORACLE_POINTS, 1)
-    blend = (steps - ks)[:, None] * i + ks[:, None] * j
-    for level in range(1, ms.depth + 1):
-        for channel, sign in zip(CHANNELS, _SIGNS):
-            nodes = sign * np.asarray(ms.channel_nodes(channel, level))
-            at_fine = np.interp(fine, xs, nodes)
+    grid, steps = ms.grid, _ORACLE_WEIGHTS - 1
+    fine = np.linspace(grid.lo, grid.hi, (_ORACLE_POINTS - 1) * steps + 1)
+    for rows in ms.values.transpose(1, 2, 0):  # level by level
+        for nodes, sign in zip(rows, _SIGNS):
+            at_fine = np.interp(fine, grid.coords, sign * nodes)
             at_lattice = at_fine[::steps]
-            at_blend = at_fine.take(blend)
+            at_blend = at_fine.take(_ORACLE_BLEND)
             # a pair fails when its worst blend does
-            bound = np.minimum(at_lattice[i], at_lattice[j])
+            bound = np.minimum(at_lattice[_ORACLE_I], at_lattice[_ORACLE_J])
             if np.any(at_blend.min(axis=0) < bound - TOL_CMP):
                 return False
     return True
@@ -469,20 +488,26 @@ def shrink_instance(
     """Greedily drop levels and nodes while ``predicate`` keeps holding.
 
     The result is locally minimal: removing any single level or grid node
-    makes the predicate fail.  Predicate errors count as failure."""
+    makes the predicate fail.  Predicate errors count as failure, and so
+    does a candidate that cannot be built, as when dropping a middle
+    level leaves two positive degrees more than TOL_CMP apart."""
 
-    def holds(candidate: PictureFuzzyMultiset) -> bool:
+    def holds(build: Callable[[], PictureFuzzyMultiset]) -> PictureFuzzyMultiset | None:
+        """The instance ``build`` makes, if it builds and the predicate holds."""
         try:
-            return bool(predicate(candidate))
+            candidate = build()
+            return candidate if predicate(candidate) else None
         except PfmsError:
-            return False
+            return None
 
-    if not holds(ms):
+    if holds(lambda: ms) is None:
         raise BadConfig("the predicate must hold on the starting instance")
     while True:  # the first smaller candidate that holds, levels first
-        levels = (_drop_level(ms, k) for k in (range(ms.depth) if ms.depth > 1 else ()))
-        nodes = (_drop_node(ms, i) for i in (range(ms.size) if ms.size > 1 else ()))
-        smaller = next(filter(holds, chain(levels, nodes)), None)
+        levels = range(ms.depth) if ms.depth > 1 else ()
+        nodes = range(ms.size) if ms.size > 1 else ()
+        builds = chain((functools.partial(_drop_level, ms, k) for k in levels),
+                       (functools.partial(_drop_node, ms, i) for i in nodes))
+        smaller = next((c for c in map(holds, builds) if c is not None), None)
         if smaller is None:
             return ms
         ms = smaller
@@ -624,7 +649,7 @@ def _random_combination(
     raw = [rng.random() + 1e-9 for _ in range(n)]
     total = math.fsum(raw)
     weights = [v / total for v in raw]
-    level = 1 + rng.randrange(ms.depth)
+    level = 1 + _below(rng, ms.depth)
     return points, weights, level
 
 
@@ -638,7 +663,7 @@ def _suite_jensen(idx: int, sub: int) -> Iterator[_Failure]:
     ms = gen_pfms(cfg)
     rng = random.Random(sub ^ 0x2545F491)
     for draw in range(10):
-        points, weights, level = _random_combination(rng, ms, 1 + rng.randrange(6))
+        points, weights, level = _random_combination(rng, ms, 1 + _below(rng, 6))
         report = jensen_check(ms, points, weights, level)
         if not report.ok:
             yield "jensen-failed-on-convex", cfg, {
@@ -766,7 +791,7 @@ def _suite_hull_theorem_discrepancy(idx: int, sub: int) -> Iterator[_Failure]:
         )
         ms = gen_pfms(cfg)
         rng = random.Random(sub ^ 0x94D049BB)
-        points, weights, level = _random_combination(rng, ms, 2 + rng.randrange(3))
+        points, weights, level = _random_combination(rng, ms, 2 + _below(rng, 3))
     gap = functools.partial(_membership_gap, points=points, weights=weights, level=level)
     if gap(ms) is None:
         return
@@ -781,7 +806,9 @@ def _suite_hull_theorem_discrepancy(idx: int, sub: int) -> Iterator[_Failure]:
 
 
 def _level_slice(ms: PictureFuzzyMultiset, level: int) -> PictureFuzzyMultiset:
-    return PictureFuzzyMultiset(ms.grid, ms.values[:, level - 1 : level])
+    """The depth-1 multiset of one level: its triples keep their bounds,
+    and one level has no order to break, so the copy is not re-checked."""
+    return _derived(ms.grid, ms.values[:, level - 1 : level].copy())
 
 
 def _level_multisets_equal(a: PictureFuzzyMultiset, b: PictureFuzzyMultiset) -> bool:

@@ -1,14 +1,20 @@
 import math
+import pickle
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pfms.algebra
 from pfms import (
     DepthMismatch,
+    GeneratorConfig,
     GradeTriple,
     GridMismatch,
     LengthMismatch,
+    PictureFuzzyMultiset,
     PositiveOrderViolation,
     TOL_CMP,
     TOL_SUM,
@@ -17,6 +23,7 @@ from pfms import (
     convex_hull,
     emit_instance,
     equals,
+    gen_pfms,
     includes,
     intersection,
     multiset_from_values,
@@ -171,6 +178,16 @@ class TestComplement:
         expected = sorted((t[::-1] for t in triples), key=lambda t: (-t[0], -t[1], t[2]))
         for got, want in zip(out.values[0].tolist(), expected):
             assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+
+    def test_only_a_triple_past_the_sum_bound_takes_the_repair_path(self):
+        p, n, g = 0.9956448355104628, 0.0020480749286869806, 0.0023070905608504333
+        with mock.patch.object(
+            pfms.algebra, "_moved_in_bound", wraps=pfms.algebra._moved_in_bound
+        ) as repair:
+            complement(multiset_from_values((0.0,), [[[0.5, 0.2, 0.2], [0.1, 0.3, 0.6]]]))
+            assert not repair.called
+            complement(single(p, n, g))
+            assert repair.call_count == 1
 
     def test_involution_up_to_level_reordering(self, deep_ms):
         back = complement(complement(deep_ms))
@@ -375,3 +392,108 @@ class TestSignedZeroTies:
             values = convex_hull(ms).values
             got = [float(v).hex() for node in values for t in node for v in t]
             assert got == expected
+
+
+def _signed_zero_operand(rng):
+    """A valid depth-2, three-node multiset of 0.0, -0.0 and 0.25."""
+    nodes = []
+    for _ in range(3):
+        levels = [[rng.choice((0.0, -0.0, 0.25)) for _ in range(3)] for _ in range(2)]
+        nodes.append(sorted(levels, key=lambda t: -t[0]))
+    return multiset_from_values((0.0, 1.0, 2.0), nodes)
+
+
+def _swap_rounding_operand(rng):
+    """A valid depth-2, three-node multiset whose level-1 triples keep the
+    sum bound as (p + n) + g and round past it as (g + n) + p."""
+    nodes = []
+    for _ in range(3):
+        while True:
+            p = rng.random() * 0.6
+            n = rng.random() * (0.9 - p)
+            g = _largest_negative(p, n)
+            if (g + n) + p > 1.0 + TOL_SUM:
+                break
+        nodes.append([[p, n, g], [0.0, rng.random() * 0.2, 0.0]])
+    return multiset_from_values((0.0, 1.0, 2.0), nodes)
+
+
+def _hand_made_operand(rng, edge):
+    if edge == "zeros":
+        return _signed_zero_operand(rng)
+    if edge == "swap-sum":
+        return _swap_rounding_operand(rng)
+    return _edge_operand(rng, edge)
+
+
+_HAND_MADE = ("sum", "range", "order", "sum-order", "zeros", "swap-sum")
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two valid operands on one grid and depth: lab instances, or the
+    hand-made ones above (sums at the cap, entries at the range bounds,
+    positive degrees rising by TOL_CMP, signed zeros, triples that round
+    past the sum bound once swapped); the second may
+    also be the first, or the first with every zero's sign flipped."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    source = draw(st.sampled_from(("lab",) + _HAND_MADE))
+    if source == "lab":
+        m, depth = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+        step = draw(st.sampled_from((None, 0.05, 0.25)))
+        a, other = (
+            gen_pfms(GeneratorConfig(s, m, depth, step, draw(st.booleans())))
+            for s in (seed, seed + 1)
+        )
+    else:
+        rng = random.Random(seed)
+        a = _hand_made_operand(rng, source)
+        other = _hand_made_operand(rng, draw(st.sampled_from(_HAND_MADE)))
+    values = {
+        "other": other.values,
+        "same": a.values,
+        "flipped": np.where(a.values == 0.0, -a.values, a.values),
+    }[draw(st.sampled_from(("other", "same", "flipped")))]
+    return a, PictureFuzzyMultiset(a.grid, values)
+
+
+def _checked_pick(a, b, sign):
+    """Union's or intersection's entries, built through the full checks."""
+    va, vb = a.values, b.values
+    return PictureFuzzyMultiset(a.grid, np.where(vb * sign > va * sign, vb, va))
+
+
+def _checked_complement(a):
+    """The complement, sorted with take_along_axis and built through the
+    full checks and the repair path."""
+    swapped = a.values[..., ::-1]
+    if a.depth > 1:
+        order = np.lexsort((swapped[..., 2], -swapped[..., 1], -swapped[..., 0]), axis=-1)
+        swapped = np.take_along_axis(swapped, order[..., None], axis=1)
+    return pfms.algebra._moved_in_bound(a.grid, swapped)
+
+
+class TestResultsCheckedOnce:
+    """Union, intersection and complement return their arrays without a
+    second check; each result must be the one the checked build gives."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(operand_pairs())
+    def test_results_match_the_checked_build(self, pair):
+        a, b = pair
+        cases = [
+            (union(a, b), _checked_pick(a, b, np.array([1.0, -1.0, -1.0]))),
+            (intersection(a, b), _checked_pick(a, b, np.array([-1.0, -1.0, 1.0]))),
+            (complement(a), _checked_complement(a)),
+            (complement(b), _checked_complement(b)),
+        ]
+        for out, checked in cases:
+            assert out.values.tobytes() == checked.values.tobytes()
+            assert PictureFuzzyMultiset(out.grid, out.values) == out
+            values = out.values
+            assert values.dtype == np.float64
+            assert values.flags.c_contiguous and not values.flags.writeable
+            assert not np.shares_memory(values, a.values)
+            assert not np.shares_memory(values, b.values)
+            assert out._flat.tolist() == values.ravel().tolist()
+            assert pickle.loads(pickle.dumps(out)) == out

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pickle
+import random
 from unittest import mock
 
 import numpy as np
@@ -15,8 +17,11 @@ from pfms import (
     GradeField,
     GradeTriple,
     JensenReport,
+    PictureFuzzyMultiset,
+    PositiveOrderViolation,
     SUITE_NAMES,
     SuiteResult,
+    TOL_CMP,
     TooLarge,
     UnknownSuite,
     Witness,
@@ -168,6 +173,18 @@ class TestOracleConvexity:
         ms = multiset_from_values((0.0,), [[[0.3, 0.2, 0.1]]])
         assert oracle_convexity(ms)
 
+    def test_lattice_tables_are_built_once_read_only(self):
+        from pfms.lab import _ORACLE_BLEND, _ORACLE_I, _ORACLE_J
+
+        i, j = np.triu_indices(41, 1)
+        k = np.arange(21)[:, None]
+        assert np.array_equal(_ORACLE_I, i) and np.array_equal(_ORACLE_J, j)
+        assert np.array_equal(_ORACLE_BLEND, (20 - k) * i + k * j)
+        for table in (_ORACLE_I, _ORACLE_J, _ORACLE_BLEND):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
 
 class TestOracleHull:
     def test_frozen_positive_channel(self):
@@ -294,6 +311,60 @@ class TestShrink:
     def test_predicate_must_hold_initially(self, convex_ms):
         with pytest.raises(BadConfig):
             shrink_instance(convex_ms, lambda ms: not is_convex_exact(ms).convex)
+
+    def test_a_candidate_that_cannot_be_built_counts_as_failing(self):
+        # dropping the middle level leaves positive degrees 1.8 * TOL_CMP apart
+        from pfms.lab import _drop_level
+
+        levels = [[0.5 + r * TOL_CMP, 0.1, 0.1] for r in (0.0, 0.9, 1.8)]
+        ms = multiset_from_values((0.0, 1.0), [levels, levels])
+        with pytest.raises(PositiveOrderViolation):
+            _drop_level(ms, 1)
+        small = shrink_instance(ms, lambda c: c.values[0, 0, 0] == 0.5)
+        assert small.values.tolist() == [[[0.5, 0.1, 0.1]]]
+
+
+class TestBelow:
+    """_below must draw what randrange draws: the pinned digests rest on it."""
+
+    SIZES = [*range(1, 71), *(2**k + d for k in range(1, 41) for d in (-1, 0, 1))]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draws_and_state_match_randrange(self, seed):
+        from pfms.lab import _below
+
+        for n in self.SIZES:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [_below(ours, n) for _ in range(25)] == [theirs.randrange(n) for _ in range(25)]
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (0, 1), (0, 20), (2, 10), (7, 71)])
+    def test_offset_draws_match_randint(self, lo, hi):
+        from pfms.lab import _below
+
+        ours, theirs = random.Random(lo * 100 + hi), random.Random(lo * 100 + hi)
+        assert [lo + _below(ours, hi - lo + 1) for _ in range(50)] == [
+            theirs.randint(lo, hi) for _ in range(50)
+        ]
+        assert ours.getstate() == theirs.getstate()
+
+
+class TestLevelSlice:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_slices_are_the_checked_build(self, seed):
+        from pfms.lab import _level_slice
+
+        step = (None, 0.05, 0.25)[seed % 3]
+        ms = gen_pfms(GeneratorConfig(seed, 1 + seed % 9, 1 + seed % 4, step, seed % 2 == 0))
+        for level in range(1, ms.depth + 1):
+            out = _level_slice(ms, level)
+            checked = PictureFuzzyMultiset(ms.grid, ms.values[:, level - 1 : level])
+            assert out.values.tobytes() == checked.values.tobytes()
+            assert out.values.dtype == np.float64
+            assert out.values.flags.c_contiguous and not out.values.flags.writeable
+            assert not np.shares_memory(out.values, ms.values)
+            assert out._flat.tolist() == out.values.ravel().tolist()
+            assert pickle.loads(pickle.dumps(out)) == out == checked
 
 
 class TestHullGapFixture:
