@@ -495,7 +495,7 @@ def cut(
         if len(values) != 3:
             raise LengthMismatch(f"thresholds must be three values (r, s, t), got {len(values)}")
         thresholds = CutThresholds(*values)
-    k = ms.level_index(level)
+    k = level_index(level, ms.depth)
     xs, grades = ms.grid.coords, ms.values[:, k]
     region = _intersect(_region(xs, grades[:, 0], thresholds.r), _region(xs, grades[:, 1], thresholds.s))
     # the negative channel's cut {g <= t} is {-g >= -t}

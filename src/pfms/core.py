@@ -517,9 +517,6 @@ class PictureFuzzyMultiset(_GradeArray):
     def size(self) -> int:
         return len(self.grid)
 
-    def level_index(self, level: int) -> int:
-        return level_index(level, self.depth)
-
     def evaluate(self, x: float, level: int) -> GradeTriple:
         """Interpolated triple at coordinate ``x`` on a 1-based level, unchecked."""
         depth = self.values.shape[1]

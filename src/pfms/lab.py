@@ -14,9 +14,10 @@ lattice at every weight of a uniform lambda grid, each blended coordinate
 read off one finer lattice that numpy interpolates once per channel and
 level; hull envelopes are found by an exhaustive search over (node,
 candidate value, rising or falling) states rather than by the
-running-maximum construction; the hull-properties suite tests unimodality
-with its own scalar scan; and the cut scan decides convexity from
-threshold cuts instead of node shapes.
+running-maximum construction, exact on any floats; the hull-properties
+suite tests unimodality with its own scalar scan; and the cut scan decides
+convexity from threshold cuts instead of node shapes.  All of them read
+grade rows through ``_signed_rows``, under the lab's own channel signs.
 
 The generators draw every integer through ``_below``, CPython's rejection
 loop over ``getrandbits`` behind ``randrange`` and ``randint`` without
@@ -67,9 +68,8 @@ class UnknownSuite(PfmsError):
 
 
 DIP_DEPTH = 0.3  # planted defects are this deep, far beyond TOL_CMP
-_MAX_GRID_SIZE = 64  # largest grid the generators build and the cut scan accepts
+_MAX_GRID_SIZE = 64  # largest grid the generators build and the quadratic oracles take
 _ORACLE_POINTS, _ORACLE_WEIGHTS = 41, 21  # oracle_convexity's lattice and weights k/20
-_ORACLE_STEP = 0.05  # the value lattice of oracle_hull's instances
 _MAX_TRIALS = 100_000  # largest trial count run_suite accepts
 # per channel, the sign under which it reads "larger is better": the oracles
 # mirror the negative channel with it rather than import core.CHANNEL_SIGNS,
@@ -238,7 +238,7 @@ def _gen_grid(rng: random.Random, m: int, integer: bool) -> tuple[float, ...]:
 
 def _values_for(
     rng: random.Random, m: int, depth: int, step: float | None, convex: bool
-) -> list[list[list[float]]]:
+) -> np.ndarray | list[list[list[float]]]:
     if convex and step is not None:
         return _convex_lattice_values(rng, m, depth, step)
     if convex:
@@ -316,6 +316,20 @@ def plant_dip(ms: PictureFuzzyMultiset, seed: int = 0) -> PictureFuzzyMultiset:
 # oracles
 
 
+def _signed_rows(values: np.ndarray) -> np.ndarray:
+    """The node rows of an (m, depth, 3) grade array as [level][channel][node],
+    each multiplied by its channel's _SIGNS sign: the one place the lab
+    mirrors the negative channel.  A sign product is exact, signed zeros
+    included."""
+    return (values * _SIGNS).transpose(1, 2, 0)
+
+
+def _refuse_large(ms: PictureFuzzyMultiset, oracle: str) -> None:
+    """The one size gate of the quadratic oracles, the cut scan and oracle_hull."""
+    if ms.size > _MAX_GRID_SIZE:
+        raise TooLarge(f"{oracle} handles at most {_MAX_GRID_SIZE} grid points, got {ms.size}")
+
+
 # oracle_convexity's lattice pairs (i, j), i < j, and the fine index
 # (K - k)*i + k*j of each pair's blend at weight k/K (j and i at weight
 # 1 - k/K give the same index): no instance moves them, so they are built once
@@ -340,9 +354,9 @@ def oracle_convexity(ms: PictureFuzzyMultiset) -> bool:
         return True
     grid, steps = ms.grid, _ORACLE_WEIGHTS - 1
     fine = np.linspace(grid.lo, grid.hi, (_ORACLE_POINTS - 1) * steps + 1)
-    for rows in ms.values.transpose(1, 2, 0):  # level by level
-        for nodes, sign in zip(rows, _SIGNS):
-            at_fine = np.interp(fine, grid.coords, sign * nodes)
+    for rows in _signed_rows(ms.values):  # level by level
+        for nodes in rows:
+            at_fine = np.interp(fine, grid.coords, nodes)
             at_lattice = at_fine[::steps]
             at_blend = at_fine.take(_ORACLE_BLEND)
             # a pair fails when its worst blend does
@@ -393,15 +407,11 @@ def cuts_all_convex(ms: PictureFuzzyMultiset) -> bool:
     too, that is when some node dips more than TOL_CMP below both flanks.
     The scan solves one cut per node value, quadratic in the grid size,
     so grids beyond the generators' own limit of 64 points are refused."""
-    if ms.size > _MAX_GRID_SIZE:
-        raise TooLarge(
-            f"cut scan handles at most {_MAX_GRID_SIZE} grid points, got {ms.size}"
-        )
+    _refuse_large(ms, "cut scan")
     xs = ms.grid.points
-    for rows in ms.values.transpose(1, 2, 0).tolist():  # level by level
-        # the negative channel's lower cuts are upper cuts of -v
-        for sign, nodes in zip(_SIGNS, rows):
-            signed = [sign * v for v in nodes]
+    # the negative channel's lower cuts are upper cuts of -v
+    for rows in _signed_rows(ms.values).tolist():  # level by level
+        for signed in rows:
             for u in set(signed):
                 pieces = _upper_region(xs, signed, u)
                 lo, hi = pieces[0][0], pieces[-1][1]
@@ -447,25 +457,18 @@ def _least_unimodal_by_search(values: Sequence[float]) -> tuple[float, ...]:
 
 
 def oracle_hull(ms: PictureFuzzyMultiset) -> GradeField:
-    """Brute-force hull for small instances on the _ORACLE_STEP lattice.
+    """Brute-force hull of any float instance of up to _MAX_GRID_SIZE points.
 
     Searches every unimodal majorant (and, mirrored, every anti-unimodal
     minorant) over the input's own values, node by node, instead of using
-    the envelope construction.  Refuses grids beyond seven points and
-    values off the lattice."""
-    if ms.size > 7:
-        raise TooLarge(f"oracle handles at most 7 grid points, got {ms.size}")
-    for level in range(1, ms.depth + 1):
-        for channel in CHANNELS:
-            for v in ms.channel_nodes(channel, level):
-                if abs(v - round(v / _ORACLE_STEP) * _ORACLE_STEP) > 1e-9:
-                    raise BadConfig(
-                        f"{channel} value {v!r} is not a multiple of {_ORACLE_STEP!r}"
-                    )
-    # rows[level][channel] holds the signed node values
-    rows = (ms.values * _SIGNS).transpose(1, 2, 0).tolist()
+    the envelope construction.  The search is quadratic in the grid size,
+    so larger grids are refused, as the cut scan refuses them."""
+    _refuse_large(ms, "hull oracle")
+    rows = _signed_rows(ms.values).tolist()
     envelopes = [[_least_unimodal_by_search(row) for row in level] for level in rows]
-    return GradeField(ms.grid, np.transpose(envelopes, (2, 0, 1)) * _SIGNS)
+    # signing is its own inverse: sign the envelopes' rows back, in values order
+    signed_back = _signed_rows(np.transpose(envelopes, (2, 0, 1)))
+    return GradeField(ms.grid, signed_back.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +713,9 @@ def _dips(values: Sequence[float]) -> bool:
 def _hull_law_violation(
     ms: PictureFuzzyMultiset, field: GradeField
 ) -> str | None:
-    for level in range(1, ms.depth + 1):
-        for channel, sign in zip(CHANNELS, _SIGNS):
-            original = [sign * v for v in ms.channel_nodes(channel, level)]
-            hull = [sign * h for h in field.channel_nodes(channel, level)]
+    levels = zip(_signed_rows(ms.values).tolist(), _signed_rows(field.values).tolist())
+    for level, (originals, hulls) in enumerate(levels, 1):
+        for channel, sign, original, hull in zip(CHANNELS, _SIGNS, originals, hulls):
             side, shape = ("below", "unimodal") if sign > 0 else ("above", "anti-unimodal")
             if any(h < v for h, v in zip(hull, original)):
                 return f"{channel} hull {side} input at level {level}"

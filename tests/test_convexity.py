@@ -39,7 +39,7 @@ from pfms import (
 )
 from pfms import convexity
 from pfms.convexity import GradeField, _majorant, _worst_dip
-from pfms.core import CHANNEL_SIGNS
+from pfms.core import CHANNEL_SIGNS, level_index
 from pfms.lab import GeneratorConfig, _dips, _hull_law_violation, gen_pfms, plant_dip
 
 APPROX = dict(abs=1e-12)
@@ -1349,7 +1349,7 @@ class TestConvexHull:
         field = convex_hull(deep_ms)
         for level in (0, 3, -1, True, 1.0, "1"):
             with pytest.raises(BadLevel) as expected:
-                deep_ms.level_index(level)
+                level_index(level, deep_ms.depth)
             for query in (lambda: field.channel_at("positive", level, 0.5),
                           lambda: field.channel_nodes("positive", level)):
                 with pytest.raises(BadLevel) as got:

@@ -322,11 +322,11 @@ class TestPictureFuzzyMultiset:
             multiset_from_values((0.0,), [[[0.3, 0.1, 0.1], [0.5, 0.1, 0.1]]])
 
     def test_level_index_contract(self, deep_ms):
-        assert deep_ms.level_index(1) == 0
-        assert deep_ms.level_index(2) == 1
+        assert core.level_index(1, deep_ms.depth) == 0
+        assert core.level_index(2, deep_ms.depth) == 1
         for bad in (0, 3, -1, 1.5, True):
             with pytest.raises(BadLevel):
-                deep_ms.level_index(bad)
+                core.level_index(bad, deep_ms.depth)
 
     def test_evaluate_node_exactness(self, convex_ms):
         # stored triples reproduce bit for bit at grid coordinates

@@ -212,19 +212,54 @@ class TestOracleHull:
             )
             assert oracle_hull(ms) == convex_hull(ms)
 
-    def test_size_and_step_gates(self):
-        big = gen_pfms(GeneratorConfig(seed=1, grid_size=8, depth=1, value_lattice=0.05))
-        with pytest.raises(TooLarge, match="^oracle handles at most 7 grid points, got 8$"):
-            oracle_hull(big)
-        # the step is 0.05: an instance on a finer lattice is refused
-        small = gen_pfms(GeneratorConfig(seed=1, grid_size=4, depth=1, value_lattice=0.01))
-        with pytest.raises(BadConfig, match="^positive value 0.08 is not a multiple of 0.05$"):
-            oracle_hull(small)
+    def test_agrees_with_envelope_construction_off_lattice(self):
+        # continuous instances of 1 to 64 points, depths 1-4, random, convex
+        # and planted; a row whose deepest dip is at most TOL_CMP is one the
+        # envelope keeps as it is while the exact oracle lifts it, so an
+        # instance with such a row is skipped
+        def deepest_dip(row):
+            rises = np.minimum(np.maximum.accumulate(row), np.maximum.accumulate(row[::-1])[::-1])
+            return (rises - row).max()
 
-    def test_off_lattice_values_rejected(self):
-        ms = multiset_from_values((0.0, 1.0), [[[0.2, 0.1, 0.1]], [[0.33, 0.1, 0.1]]])
-        with pytest.raises(BadConfig, match=r"^positive value 0\.33 is not a multiple of 0\.05$"):
-            oracle_hull(ms)
+        checked, modes = 0, set()
+        for i in range(256):
+            m, depth, mode = 1 + i % 64, 1 + i // 64, i % 3
+            ms = gen_pfms(GeneratorConfig(seed=i, grid_size=m, depth=depth, convex_only=mode == 1))
+            if mode == 2 and m >= 3:
+                ms = plant_dip(ms, seed=i)
+            signed = ms.values * np.array([1.0, 1.0, -1.0])
+            if any(0.0 < deepest_dip(signed[:, k, c]) <= TOL_CMP
+                   for k in range(depth) for c in range(3)):
+                continue
+            assert oracle_hull(ms) == convex_hull(ms)
+            checked += 1
+            modes.add((mode, depth))
+        assert checked >= 250 and len(modes) == 12
+        wide = multiset_from_values(tuple(float(i) for i in range(65)), [[[0.3, 0.2, 0.1]]] * 65)
+        with pytest.raises(TooLarge):
+            oracle_hull(wide)
+
+    def test_size_gate_matches_the_cut_scan(self):
+        def flat(m):
+            return multiset_from_values(
+                tuple(float(i) for i in range(m)), [[[0.3, 0.2, 0.1]]] * m
+            )
+
+        widest = flat(64)
+        assert oracle_hull(widest) == GradeField(widest.grid, widest.values)
+        with pytest.raises(TooLarge, match="^hull oracle handles at most 64 grid points, got 65$"):
+            oracle_hull(flat(65))
+
+    def test_off_lattice_values_accepted(self):
+        # the search's candidates are the input's own values, exact on any floats
+        ms = multiset_from_values(
+            (0.0, 1.0, 2.5), [[[0.33, 0.1, 0.1]], [[0.07, 0.013, 0.4]], [[0.2, 0.1, 0.3]]]
+        )
+        field = oracle_hull(ms)
+        assert field.channel_nodes("positive", 1) == (0.33, 0.2, 0.2)
+        assert field.channel_nodes("neutral", 1) == (0.1, 0.1, 0.1)
+        assert field.channel_nodes("negative", 1) == (0.1, 0.3, 0.3)
+        assert field == convex_hull(ms)
 
 
 class TestCutScan:
@@ -237,6 +272,20 @@ class TestCutScan:
         assert cuts_all_convex(flat(64))
         with pytest.raises(TooLarge):
             cuts_all_convex(flat(65))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("step", [None, 0.05])
+def test_one_and_two_point_grids_are_convex_and_their_own_hull(m, step):
+    # one or two nodes make every channel monotone: each oracle must say
+    # convex, and the hull must keep every bit, signed zeros included
+    zeros = multiset_from_values(tuple(map(float, range(m))), [[[0.0, -0.0, -0.0]]] * m)
+    for seed in range(8):
+        ms = zeros if seed == 0 else gen_pfms(
+            GeneratorConfig(seed=seed, grid_size=m, depth=1 + seed % 4, value_lattice=step)
+        )
+        assert cuts_all_convex(ms) and oracle_convexity(ms)
+        assert oracle_hull(ms).values.tobytes() == ms.values.tobytes()
 
 
 class TestShrink:
