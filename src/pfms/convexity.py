@@ -78,6 +78,7 @@ from .core import (
     channel_index,
     check_unit,
     level_index,
+    real_array,
 )
 
 _MAX_PAIR_SAMPLES = 1_000_000  # largest pair_samples is_convex_sampled accepts
@@ -159,11 +160,12 @@ class GradeField(_GradeArray):
     negative one independently, which can push a node's sum past one.
     ``values`` is a read-only (points, levels, 3) float64 array like a
     multiset's: the constructor keeps a read-only C-ordered float64 array
-    as given, stores a read-only float64 copy of anything else, and
-    raises LengthMismatch unless that converts to the shape (len(grid),
-    depth >= 1, 3); it checks no ranges, which a hull keeps.  ``mask``, a
-    (points, levels) bool array (as tuples: ``valid``), flags the triples
-    that keep the sum bound, worked out from ``values`` when read."""
+    as given, stores a read-only copy of anything else that real_array
+    converts (the number rule of instances), and raises LengthMismatch
+    unless that has the shape (len(grid), depth >= 1, 3); it checks no
+    ranges, which a hull keeps.  ``mask``, a (points, levels) bool array
+    (as tuples: ``valid``), flags the triples that keep the sum bound,
+    worked out from ``values`` when read."""
 
     __slots__ = ()
 
@@ -174,10 +176,9 @@ class GradeField(_GradeArray):
             isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.flags.c_contiguous and not values.flags.writeable
         ):
-            try:
-                values = np.array(values, dtype=np.float64, order="C")
-            except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-                raise LengthMismatch(f"{need} of floats") from None
+            values = real_array(values)
+            if values is None:  # ragged, misshapen, or not all numbers
+                raise LengthMismatch(f"{need} of floats")
             values.setflags(write=False)
             object.__setattr__(self, "values", values)
         shape = values.shape

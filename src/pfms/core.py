@@ -8,22 +8,26 @@ nonincreasing across levels at each point.  Between grid points every
 channel extends by linear interpolation, so all derived quantities stay
 piecewise linear and can be computed exactly.
 
+Caller data has one intake: _items reads a sequence (a number or None
+is one item), _real_kinds is the one rule for a number (an int or a
+float, not a bool), real_array turns grades into an array for instances
+and convexity.GradeField alike, and builders check grids before grades.
 An instance keeps its grades in one read-only (points, levels, 3) float64
 array, checked with the float expressions of the scalar checks, a
 GradeTriple per level and then _check_levels on the point's levels;
 every array sum test in the package is _within_sum.  The scalar checks
 re-run on the first bad point to raise its error, and check point by
-point any input real_array refuses (another dtype, objects, ragged
-levels).  An array of at most _SCALAR_TRIPLES (32) triples is checked in
-one Python pass over its nested lists, a larger one in whole-array numpy
-passes, whose fixed cost would outweigh the work in the small instances
-the lab builds by the thousand (see first_invalid_point).  Pickle and
-deepcopy rebuild an instance or grid through its constructor, so its
-arrays stay read-only.  A grid scans its coordinates' types, converts
-them in one map(float) pass, checks them in a scalar loop and keeps them
-as a tuple and as one read-only float64 array, plus its ends and the
-ends widened by the boundary slack, so array code and point queries
-read them instead of rebuilding them.
+point any input real_array refuses (bool or object arrays, strings,
+ragged levels).  An array of at most _SCALAR_TRIPLES (32) triples is
+checked in one Python pass over its nested lists, a larger one in
+whole-array numpy passes, whose fixed cost would outweigh the work in
+the small instances the lab builds by the thousand (see
+first_invalid_point).  Pickle and deepcopy rebuild an instance or grid
+through its constructor, so its arrays stay read-only.  A grid scans its
+coordinates' types once, converts them in one map(float) pass, checks
+them in a scalar loop and keeps them as a tuple and as one read-only
+float64 array, plus its ends and the widened ends, so array code and
+point queries read them instead of rebuilding them.
 Grades are checked once, when an instance is built: point queries check
 only their arguments and return blends of checked nodes unchecked
 (_blended), in the range and sum bounds up to one blend's rounding;
@@ -153,6 +157,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _real_kinds(items) -> set[type] | None:
+    """The types of ``items``, scanned once, if each is an int or a float but
+    not a bool (check_unit's rule), else None; numpy would take "0.5"."""
+    kinds = set(map(type, items))
+    return kinds if all(issubclass(t, (int, float)) and t is not bool for t in kinds) else None
+
+
 def _items(value) -> tuple:
     """The items of ``value`` as a tuple; a number or None, which is not
     iterable, counts as one item."""
@@ -248,9 +259,8 @@ class DomainGrid:
 
     def __post_init__(self) -> None:
         raw = self.points
-        raw = tuple(raw.tolist() if isinstance(raw, np.ndarray) else raw)
-        kinds = set(map(type, raw))
-        if not kinds <= {float, int}:  # a subclass passes, the rest raise
+        raw = _items(raw.tolist() if isinstance(raw, np.ndarray) else raw)
+        if (kinds := _real_kinds(raw)) is None:
             for x in filterfalse(_is_real, raw):
                 raise InvalidGrid(f"grid coordinate {x!r} is not a real number")
         try:  # a tuple of floats is kept as it is
@@ -369,21 +379,19 @@ def _within_sum(values: np.ndarray) -> np.ndarray:
 
 def real_array(values) -> np.ndarray | None:
     """Fresh C-ordered (m, depth, 3) float64 copy of ``values`` if it holds
-    only numbers check_unit accepts, else None.  Points and levels are
-    measured with len before any of them is iterated, so an iterator
-    among them is refused unread and the caller's point-by-point path
-    still sees its items.  Types are scanned before the conversion, as
-    numpy would turn True into 1.0 and "0.5" into 0.5."""
+    only numbers check_unit accepts (_real_kinds), else None.  An ndarray
+    of an int, uint or float dtype converts in one step; bool, complex,
+    object and string arrays give None.  Points and levels are measured
+    with len before any of them is iterated, so an iterator among them is
+    refused unread and the caller's point-by-point path still sees it."""
     if isinstance(values, np.ndarray):
-        ok = values.dtype == np.float64 and values.ndim == 3 and values.shape[2] == 3
-        return np.array(values, order="C") if ok and values.size else None
+        ok = values.dtype.kind in "iuf" and values.ndim == 3 and values.shape[2] == 3
+        return values.astype(np.float64, order="C") if ok and values.size else None
     try:
         depths = set(map(len, values))
         levels = list(chain.from_iterable(values))
-        if len(depths) == 1 and 0 not in depths and set(map(len, levels)) == {3} and all(
-            issubclass(t, (int, float)) and t is not bool
-            for t in set(map(type, chain.from_iterable(levels)))
-        ):
+        if (len(depths) == 1 and 0 not in depths and set(map(len, levels)) == {3}
+                and _real_kinds(chain.from_iterable(levels)) is not None):
             flat = np.fromiter(chain.from_iterable(levels), np.float64, 3 * len(levels))
             return flat.reshape(len(values), -1, 3)
     except (TypeError, ValueError, OverflowError):
@@ -439,13 +447,13 @@ def _first_invalid_vectorised(arr: np.ndarray) -> int:
 
 
 def _grade_array(values, size: int) -> np.ndarray:
-    """Validated read-only float64 array of ``values``, an array or nested
-    numbers, raising the scalar error of the first bad point (see
-    _point_triples).  Input that real_array refuses, such as arrays of
-    another dtype, objects or ragged levels, is checked point by point
-    and converted from the checked triples."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        values = tuple(values)
+    """Validated read-only float64 array of ``values``, read through _items
+    unless an array or nested numbers, raising the scalar error of the
+    first bad point (see _point_triples).  Input that real_array refuses,
+    such as bool or object arrays, strings or ragged levels, is checked
+    point by point and converted from the checked triples."""
+    if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim):
+        values = _items(values)
     arr = real_array(values)
     bad = 0 if arr is None else first_invalid_point(arr)
     # raises at the first bad point; runs over all points only if arr is None
@@ -591,16 +599,10 @@ def multiset_from_values(
     points: Sequence[float],
     values: Sequence[Sequence[Sequence[float]]] | np.ndarray,
 ) -> PictureFuzzyMultiset:
-    """Build a multiset from raw floats: values[point][level] is a
+    """Build a multiset from raw numbers: values[point][level] is a
     (positive, neutral, negative) triple, as nested sequences or as an
-    (m, depth, 3) float64 array."""
-    try:
-        grid = DomainGrid(points)
-    except PfmsError:
-        for per_point in values:  # a bad grade is reported before a bad grid
-            _point_triples(per_point)
-        raise
-    return PictureFuzzyMultiset(grid, values)
+    (m, depth, 3) array of a real dtype; the grid is checked first."""
+    return PictureFuzzyMultiset(DomainGrid(points), values)
 
 
 @dataclass(frozen=True, slots=True)

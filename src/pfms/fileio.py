@@ -47,6 +47,7 @@ from .core import (
     _check_levels,
     _is_int,
     _is_real,
+    _real_kinds,
     _shown,
     first_invalid_point,
     real_array,
@@ -127,12 +128,10 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
     domain = doc["domain"]
     if not isinstance(domain, list) or not domain:
         raise SchemaError("domain", "expected a non-empty array of numbers")
-    points = None
-    if set(map(type, domain)) <= {int, float}:  # no bool, str, null or subclass
-        try:
-            points = list(map(float, domain))
-        except OverflowError:  # an int beyond the float range
-            pass
+    try:  # one type scan: no bool, str or null
+        points = list(map(float, domain)) if _real_kinds(domain) is not None else None
+    except OverflowError:  # an int beyond the float range
+        points = None
     if points is None:  # one by one, raising the first coordinate's error
         points = [_require_number(x, f"domain[{i}]") for i, x in enumerate(domain)]
     depth = doc["depth"]
@@ -148,7 +147,7 @@ def instance_from_document(doc: Any) -> PictureFuzzyMultiset:
         )
 
     try:
-        grid = DomainGrid(tuple(points))
+        grid = DomainGrid(points)
     except PfmsError as exc:
         raise type(exc)(f"domain: {exc}") from None
 

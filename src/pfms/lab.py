@@ -118,12 +118,10 @@ class GeneratorConfig:
             )
         if not 1 <= self.depth <= 8:
             raise BadConfig(f"depth {_shown(self.depth)} outside 1..8")
-        if self.value_lattice is not None and not (
-            0.0 < self.value_lattice <= 1.0
-        ):
-            raise BadConfig(
-                f"value_lattice step {_shown(self.value_lattice)} outside (0, 1]"
-            )
+        if step is not None and not 0.0 < step <= 1.0:
+            raise BadConfig(f"value_lattice step {_shown(step)} outside (0, 1]")
+        if step is not None and not math.isfinite(1.0 / step):  # the lattice counts steps
+            raise BadConfig(f"value_lattice step {step!r} has no finite reciprocal")
 
 
 # ---------------------------------------------------------------------------

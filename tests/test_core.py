@@ -20,6 +20,7 @@ from pfms import (
     CutRegion,
     CutThresholds,
     DomainGrid,
+    GradeField,
     GradeTriple,
     InvalidGrid,
     LengthMismatch,
@@ -199,6 +200,8 @@ class TestDomainGrid:
         assert str(refused.value) == f"grid coordinate {odd!r} is not a real number"
         with pytest.raises(InvalidGrid):
             multiset_from_values([odd, 5.0], [[[0.5, 0.25, 0.125]]] * 2)
+        with pytest.raises(InvalidGrid):  # the grid is reported before a bad grade
+            multiset_from_values([odd, 5.0], [[[2.0, 0.25, 0.125]], [[odd]]])
         with pytest.raises(InvalidGrid):
             DomainGrid(np.array([-1.0, odd, 3.0], dtype=object))
 
@@ -210,6 +213,20 @@ class TestDomainGrid:
             assert multiset_from_values(points, [[[0.5, 0.25, 0.125]]] * 3).grid.points == expected
         with pytest.raises(InvalidGrid, match="False is not"):
             DomainGrid(np.array([False, True]))
+
+    def test_a_number_is_one_item_and_none_is_refused(self):
+        # every builder reads the caller's sequence through core._items
+        assert DomainGrid(5).points == (5.0,)
+        ms = multiset_from_values(0.5, [[[0.1, 0.1, 0.1]]])
+        assert ms.grid.points == (0.5,) and ms.values.tolist() == [[[0.1, 0.1, 0.1]]]
+        with pytest.raises(InvalidGrid, match="^grid coordinate None is not a real number$"):
+            DomainGrid(None)
+        grid = DomainGrid((0.0,))
+        for values in (None, 5, np.array(5.0)):
+            with pytest.raises(LengthMismatch, match="^level 1 must be three values"):
+                PictureFuzzyMultiset(grid, values)
+            with pytest.raises(LengthMismatch, match="of floats$"):
+                GradeField(grid, values)
 
     def test_reach_stays_finite_at_the_largest_float(self):
         # lo minus the slack overflows here; -inf must still be refused
@@ -368,14 +385,20 @@ class TestPictureFuzzyMultiset:
             convex_ms.evaluate(0.5, 2)
 
 
-# Input that real_array refuses takes the scalar path point by point.  The
-# outcomes below were recorded from the per-point GradeSequence construction
-# the library used before, as float64 bytes in hex or as an error, except for
-# the malformed shapes (2-D, 1-D, 4 channels, 2-element triples): that
-# construction let them escape as a bare TypeError, and they now raise
-# LengthMismatch.  The iterator cases build as the tuples do: real_array
-# measures every point and level before it reads any, so it leaves them
-# unread for the scalar path.
+# Input that real_array refuses takes the scalar path point by point; an
+# array of a real numeric dtype (int64, uint8, float16, float32) and nested
+# ints convert in one step, to the same bytes.  The outcomes below were
+# recorded from the per-point GradeSequence construction the library used
+# before, as float64 bytes in hex or as an error, except for the malformed
+# shapes (2-D, 1-D, 4 channels, 2-element triples): that construction let
+# them escape as a bare TypeError, and they now raise LengthMismatch.  The
+# uint8, float16, int-list, bool-list, str and bytes rows were added with
+# the one number rule (core._real_kinds), their outcomes those of the rows
+# of the same values.  The iterator cases build as the tuples do:
+# real_array measures every point and level before it reads any, so it
+# leaves them unread for the scalar path.  A GradeField converts through
+# the same real_array: it holds the bytes of the _FIELD_ALIKE rows and
+# refuses the _NOT_NUMBERS rows with LengthMismatch.
 _ROWS = [[[0.5, 0.25, 0.125]], [[0.1, 0.2, 0.3]]]
 _ROWS_HEX = (
     "000000000000e03f000000000000d03f000000000000c03f"
@@ -391,6 +414,16 @@ _FALLBACK_PINS = {
         "000000000000e03f000000000000d03f000000000000c03f"
         "000000a09999b93f000000a09999c93f000000403333d33f",
     ),
+    "uint8": (
+        np.array([[[1, 0, 0]], [[0, 0, 1]]], dtype=np.uint8),
+        "000000000000f03f" + "0" * 64 + "000000000000f03f",
+    ),
+    "int lists": ([[[1, 0, 0]], [[0, 0, 1]]], "000000000000f03f" + "0" * 64 + "000000000000f03f"),
+    "float16": (
+        np.array(_ROWS, dtype=np.float16),
+        "000000000000e03f000000000000d03f000000000000c03f"
+        "000000000098b93f000000000098c93f000000000034d33f",
+    ),
     "object": (np.array(_ROWS, dtype=object), _ROWS_HEX),
     "tuples": (tuple(tuple(map(tuple, point)) for point in _ROWS), _ROWS_HEX),
     "generator": (lambda: (point for point in _ROWS), _ROWS_HEX),
@@ -399,6 +432,18 @@ _FALLBACK_PINS = {
     "bool": (
         np.array([[[False, False, False]], [[True, False, False]]]),
         (OutOfUnitInterval, "positive must be a real number, got False"),
+    ),
+    "bool list": (
+        [[[0.5, 0.25, 0.125]], [[0.1, 0.2, True]]],
+        (OutOfUnitInterval, "negative must be a real number, got True"),
+    ),
+    "str": (
+        [[["0.5", 0.25, 0.125]], [[0.1, 0.2, 0.3]]],
+        (OutOfUnitInterval, "positive must be a real number, got '0.5'"),
+    ),
+    "bytes": (
+        [[[0.5, 0.25, 0.125]], [[0.1, b"0.2", 0.3]]],
+        (OutOfUnitInterval, "neutral must be a real number, got b'0.2'"),
     ),
     "no levels": (
         np.zeros((2, 0, 3)),
@@ -439,14 +484,16 @@ _FALLBACK_PINS = {
 }
 
 
+_FIELD_ALIKE = ("int64", "uint8", "int lists", "float16", "float32", "tuples")
+_NOT_NUMBERS = ("bool", "bool list", "str", "bytes")
+
+
 @pytest.mark.parametrize("name", list(_FALLBACK_PINS))
 def test_input_real_array_refuses_builds_or_raises_as_pinned(name):
     values, expected = _FALLBACK_PINS[name]
 
-    def build():
-        return PictureFuzzyMultiset(
-            DomainGrid((0.0, 1.0)), values() if callable(values) else values
-        )
+    def build(cls=PictureFuzzyMultiset):
+        return cls(DomainGrid((0.0, 1.0)), values() if callable(values) else values)
 
     if isinstance(expected, str):
         ms = build()
@@ -457,6 +504,25 @@ def test_input_real_array_refuses_builds_or_raises_as_pinned(name):
         with pytest.raises(PfmsError) as err:
             build()
         assert (type(err.value), str(err.value)) == expected
+    if name in _FIELD_ALIKE:
+        assert build(GradeField).values.tobytes().hex() == expected
+    elif name in _NOT_NUMBERS:
+        with pytest.raises(LengthMismatch) as err:
+            build(GradeField)
+        assert str(err.value) == "field values need shape (2, depth >= 1, 3) of floats"
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("m", [2, 100])
+def test_valid_numeric_arrays_never_take_the_scalar_path(monkeypatch, dtype, m):
+    # below and above _SCALAR_TRIPLES: first_invalid_point checks the
+    # converted array, so no point reaches the per-point checks
+    calls = []
+    monkeypatch.setattr(core, "_point_triples", lambda p: calls.append(p))
+    grades = np.zeros((m, 2, 3), dtype=dtype)
+    grades[::2, :, 0] = 1
+    ms = PictureFuzzyMultiset(DomainGrid(range(m)), grades)
+    assert calls == [] and ms.values.tolist() == grades.astype(np.float64).tolist()
 
 
 class TestIntsBeyondTheFloatRange:
@@ -757,6 +823,26 @@ def test_every_export_is_read_in_the_package():
         read = set().union(*(names for own, names in tops if own not in unread))
         unread = set(pfms.__all__) - read - {"__version__"}
     assert sorted(unread) == []
+
+
+def test_one_number_rule_lives_in_core():
+    # what counts as a number (core._real_kinds) and how caller values
+    # become a float64 array (core.real_array) are decided in core alone:
+    # no other module scans types in bulk, and GradeField does not convert
+    stray = []
+    for path in sorted(Path(pfms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if (path.name != "core.py" and isinstance(func, ast.Name) and func.id == "map"
+                    and args and isinstance(args[0], ast.Name) and args[0].id == "type"):
+                stray.append(f"{path.name}:{node.lineno} map(type, ...)")
+            elif (path.name == "convexity.py" and isinstance(func, ast.Attribute)
+                    and func.attr == "array"
+                    and (len(args) > 1 or any(kw.arg == "dtype" for kw in node.keywords))):
+                stray.append(f"{path.name}:{node.lineno} array(..., dtype=...)")
+    assert stray == []
 
 
 def _export_classes() -> set[str]:

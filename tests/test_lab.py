@@ -58,11 +58,22 @@ class TestGeneratorConfig:
             dict(seed=0, grid_size="3", depth=1),
             dict(seed=0, grid_size=4, depth=1, value_lattice="x"),
             dict(seed=0, grid_size=4, depth=1, value_lattice=True),
+            # the lattice counts steps, so 1 / step must be finite
+            dict(seed=0, grid_size=4, depth=2, value_lattice=5e-324),
+            dict(seed=0, grid_size=4, depth=2, value_lattice=1e-310),
+            dict(seed=0, grid_size=4, depth=2, value_lattice=5e-324, convex_only=True),
+            dict(seed=0, grid_size=4, depth=2, value_lattice=1e-310, convex_only=True),
         ],
     )
     def test_rejected_configs(self, kwargs):
         with pytest.raises(BadConfig):
             GeneratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("convex_only", [False, True])
+    def test_tiny_lattice_with_a_finite_reciprocal_builds(self, convex_only):
+        ms = gen_pfms(GeneratorConfig(seed=0, grid_size=4, depth=2, value_lattice=1e-300,
+                                      convex_only=convex_only))
+        assert ms.size == 4 and ms.depth == 2 and ms.values.dtype == np.float64
 
     def test_ints_too_long_to_print_are_refused_by_digit_count(self):
         with pytest.raises(BadConfig) as refused:
