@@ -514,10 +514,10 @@ def _grades_at(
     level: int,
 ) -> tuple[tuple[float, ...], tuple, list[GradeTriple]]:
     """Validated weights, one scalar per point for every channel, the
-    points as a tuple and the grades at them.  The weights are checked
-    before the points are read, as core reads items: a number or None
-    counts as one point."""
-    w = tuple(check_unit(wi, "weight") for wi in weights)
+    points as a tuple and the grades at them.  Weights and points are
+    read as core reads items, where a number or None counts as one item,
+    and the weights are checked before the points are read."""
+    w = tuple(check_unit(wi, "weight") for wi in _items(weights))
     if not w:
         raise WeightSumInvalid("at least one weight is required")
     total = math.fsum(w)

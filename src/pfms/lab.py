@@ -489,9 +489,10 @@ def shrink_instance(
     """Greedily drop levels and nodes while ``predicate`` keeps holding.
 
     The result is locally minimal: removing any single level or grid node
-    makes the predicate fail.  Predicate errors count as failure, and so
-    does a candidate that cannot be built, as when dropping a middle
-    level leaves two positive degrees more than TOL_CMP apart."""
+    makes the predicate fail.  A predicate that raises a ``PfmsError``
+    counts as failing, and so does a candidate that cannot be built, as
+    when dropping a middle level leaves two positive degrees more than
+    TOL_CMP apart.  Any other exception from the predicate propagates."""
 
     def holds(build: Callable[[], PictureFuzzyMultiset]) -> PictureFuzzyMultiset | None:
         """The instance ``build`` makes, if it builds and the predicate holds."""

@@ -1202,6 +1202,13 @@ class TestJensen:
         pytest.param([1.0], lambda: [1], [1.0], id="int"),
         pytest.param([0.0, 2.0], lambda: (w for w in (0.25, 0.75)), [0.25, 0.75],
                      id="generator"),
+        # a number or None is one weight, as a number or None is one point
+        pytest.param([0.5], lambda: 1.0, [1.0], id="number"),
+        pytest.param(0.5, lambda: 1.0, [1.0], id="number-at-a-number"),
+        pytest.param([0.5], lambda: None,
+                     "OutOfUnitInterval: weight must be a real number, got None", id="none"),
+        pytest.param([0.0, 2.0], lambda: 1.0,
+                     "LengthMismatch: 2 points but 1 weights", id="number-two-points"),
     ])
     def test_weights(self, convex_ms, check, points, weights, outcome):
         if isinstance(outcome, str):

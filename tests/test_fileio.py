@@ -200,6 +200,27 @@ _AWKWARD_MS = multiset_from_values(
 _SIGNED_ZERO_MS = multiset_from_values(
     (-1.0, -0.0, 1.0), [[[0.3, -0.0, 0.2]], [[-0.0, 0.1, 0.0]], [[0.2, 0.0, -0.0]]]
 )
+# grades that repr writes in exponent form
+_EXPONENT_GRADES_MS = multiset_from_values(
+    (0.0, 1.0, 2.0),
+    [[[5e-324, 1e-05, 2.5e-07]], [[2.5e-07, 5e-324, 1e-05]], [[1e-05, 2.5e-07, 5e-324]]],
+)
+# coordinates of 1e16 and above, which repr also writes in exponent form
+_LARGE_DOMAIN_MS = multiset_from_values(
+    (1e16, 1.0000000000000002e16, 3e17, 1e22, 1.7976931348623157e308),
+    [[[0.2, 0.1, 0.5]]] * 5,
+)
+_INTEGRAL_MS = multiset_from_values(
+    (-3.0, 0.0, 2.0, 9007199254740992.0),
+    [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]]],
+)
+
+
+def _random_ms(m: int, depth: int, seed: int):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 0.3, size=(m, depth, 3))
+    values[:, :, 0] = -np.sort(-values[:, :, 0], axis=1)  # positives non-increasing
+    return multiset_from_values(np.cumsum(rng.uniform(0.01, 1.0, size=m)).tolist(), values)
 
 
 class TestEmit:
@@ -336,10 +357,14 @@ class TestCollectorPause:
     @pytest.mark.parametrize(
         "ms",
         [gen_pfms(GeneratorConfig(seed=3, grid_size=9, depth=4)), _AWKWARD_MS,
-         _SIGNED_ZERO_MS],
-        ids=["generated", "awkward", "signed-zero"],
+         _SIGNED_ZERO_MS, _EXPONENT_GRADES_MS, _LARGE_DOMAIN_MS, _INTEGRAL_MS,
+         _random_ms(10_000, 3, seed=32)],
+        ids=["generated", "awkward", "signed-zero", "exponent-grades", "large-domain",
+             "integral", "random-1e4-depth-3"],
     )
     def test_emit_is_compact_json_dumps(self, ms):
+        # emit skips the encoder's cycle check; the default, checking
+        # json.dumps must write the same bytes
         text = emit_instance(ms)
         assert text == json.dumps(instance_document(ms), separators=(",", ":"))
         assert parse_instance(text) == ms
