@@ -276,10 +276,7 @@ def collector_state():
 
 @pytest.fixture(scope="module")
 def large_ms():
-    rng = np.random.default_rng(5)
-    values = rng.uniform(0.0, 0.3, size=(20_000, 2, 3))
-    values[:, :, 0] = -np.sort(-values[:, :, 0], axis=1)  # positives non-increasing
-    return multiset_from_values(np.arange(20_000.0).tolist(), values)
+    return _random_ms(20_000, 2, seed=5)
 
 
 def _collections_during(fn):

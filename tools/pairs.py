@@ -22,8 +22,9 @@ pairs each side ran first in, since a run can favour the side that runs
 second.  Each run's last stdout line is also appended to
 ``<scratch>/runs.jsonl``.
 
-With ``--out`` the summary is written as a bench file of one round.  The
-exit status is 1 when any run fails an operation or does not read
+With ``--out`` the summary is written as one round of a bench file; a
+file that already holds rounds for the same two commits gains one more
+(name it with ``--round``).  The exit status is 1 when any run fails an operation or does not read
 ``correct: true``.
 """
 
@@ -203,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--out", type=Path, help="bench file to write")
+    parser.add_argument("--out", type=Path, help="bench file to write or add a round to")
+    parser.add_argument("--round", default="final", help="the round's name in --out")
     parser.add_argument("--code", default="", help="what code the round ran, for --out")
     parser.add_argument("--claim-metric", help="the claimed end-to-end metric, for --out")
     parser.add_argument("--claim-workload", help="the workload it is claimed on")
@@ -211,11 +213,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.pairs <= 100:
         parser.error("--pairs must lie in 1..100, as workloads' seeds lie 100 apart")
-    if args.out and not (args.claim_metric and args.claim_workload):
-        parser.error("--out needs --claim-metric and --claim-workload")
+    bench = None
+    if args.out and args.out.exists():
+        bench = json.loads(args.out.read_text(encoding="utf-8"))
+        if any(r["name"] == args.round for r in bench["rounds"]):
+            parser.error(f"{args.out} already has a round named {args.round!r}")
+    elif args.out and not (args.claim_metric and args.claim_workload):
+        parser.error("a new bench file needs --claim-metric and --claim-workload")
 
     commits = {"parent": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
                "change": _git("rev-parse", "--verify", f"{args.change}^{{commit}}")}
+    if bench and (bench["parent_commit"], bench["change_commit"]) != (commits["parent"],
+                                                                      commits["change"]):
+        parser.error(f"{args.out} compares other commits")
     args.scratch.mkdir(parents=True, exist_ok=True)
     trees = export(commits, args.scratch)
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -237,10 +247,13 @@ def main(argv: list[str] | None = None) -> int:
             print(table(workload, workloads[workload]), flush=True)
 
     if args.out:
-        claim = {"metric": args.claim_metric, "workload": args.claim_workload,
-                 "issue_target": args.claim_target}
-        round_ = {"name": "final", "code": args.code, "workloads": workloads}
-        bench = bench_document(commits, claim, machine, args.seconds, round_)
+        round_ = {"name": args.round, "code": args.code, "workloads": workloads}
+        if bench is None:
+            claim = {"metric": args.claim_metric, "workload": args.claim_workload,
+                     "issue_target": args.claim_target}
+            bench = bench_document(commits, claim, machine, args.seconds, round_)
+        else:
+            bench["rounds"].append(round_)
         args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return 0 if all(w["correct"] for w in workloads.values()) else 1
 
